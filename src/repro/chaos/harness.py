@@ -19,10 +19,9 @@ The harness turns the fault primitives (:mod:`repro.chaos.faults`,
   failed snapshot rename must leave the previous snapshot restorable,
   and a silent bit-flip must be *detected* on replay
   (:class:`~repro.core.errors.JournalCorruptError`), never re-applied.
-* ``pool`` / ``shard`` campaigns — ``SIGKILL`` a real worker process
-  under :class:`~repro.sim.experiment.ParallelRunner` and the
-  process-mode :class:`~repro.core.shard_search.ShardedSearchExecutor`;
-  supervised recovery must reproduce the undisturbed output exactly.
+* ``pool`` campaign — ``SIGKILL`` a real worker process under
+  :class:`~repro.sim.experiment.ParallelRunner`; supervised recovery
+  must reproduce the undisturbed output exactly.
 
 Campaigns never raise on a contract violation — they collect findings
 into :class:`CampaignResult` so one run reports every failure — and all
@@ -43,7 +42,7 @@ from typing import Callable, Sequence
 
 from repro.chaos.faults import FaultPlan, FaultPoint, SimulatedCrash, derive_fault_seed
 from repro.chaos.fs import ChaosFilesystem
-from repro.chaos.proc import CrashOnceSpanTask, WorkerSupervisor, kill_shard_worker
+from repro.chaos.proc import CrashOnceSpanTask
 from repro.core import Job, Resource, ResourceRequest
 from repro.core.errors import (
     InvalidRequestError,
@@ -52,9 +51,6 @@ from repro.core.errors import (
     PersistenceError,
 )
 from repro.core.journal import read_journal
-from repro.core.shard_search import ShardedSearchExecutor
-from repro.core.slot import Slot
-from repro.core.window import Window
 from repro.grid import Cluster, ComputeNode, Metascheduler, RetryPolicy, VOEnvironment
 from repro.grid.checkpoint import (
     JOURNAL_NAME,
@@ -581,95 +577,6 @@ def _pool_campaign(base_dir: str | Path, seed: int) -> CampaignResult:
 
 
 # ---------------------------------------------------------------------- #
-# Campaign: killed shard worker (ShardedSearchExecutor)                   #
-# ---------------------------------------------------------------------- #
-
-
-def _shard_slots(rng: random.Random) -> list[Slot]:
-    """A deterministic multi-resource vacant-slot list (pinned uids)."""
-    slots: list[Slot] = []
-    for offset in range(12):
-        resource = Resource(
-            f"r{offset}",
-            performance=1.0 + (offset % 4) * 0.5,
-            price=1.0 + (offset % 5),
-            uid=700 + offset,
-        )
-        clock = 0.0
-        for _ in range(3):
-            clock += rng.uniform(0.0, 5.0)
-            length = rng.uniform(30.0, 90.0)
-            slots.append(Slot(resource, clock, clock + length, resource.price))
-            clock += length
-    return slots
-
-
-def _window_signature(
-    window: "Window | None",
-) -> tuple[tuple[float, float, int], ...] | None:
-    if window is None:
-        return None
-    return tuple(
-        (allocation.start, allocation.end, allocation.source.resource.uid)
-        for allocation in window.allocations
-    )
-
-
-def _slot_rows(executor: ShardedSearchExecutor) -> list[tuple[float, float, int, float]]:
-    return [
-        (slot.start, slot.end, slot.resource.uid, slot.price)
-        for slot in executor.slot_list()
-    ]
-
-
-def _shard_campaign(base_dir: str | Path, seed: int) -> CampaignResult:
-    """SIGKILL shard workers mid-sequence; replayed state must match."""
-    result = CampaignResult(name="shard", runs=1)
-    rows_seed = derive_fault_seed(seed, "shard-slots")
-    rng = random.Random(rows_seed)
-    slots = _shard_slots(rng)
-    requests = [
-        ResourceRequest(node_count=2, volume=40.0, max_price=8.0),
-        ResourceRequest(node_count=3, volume=60.0, max_price=9.0),
-        ResourceRequest(node_count=2, volume=30.0, max_price=6.0),
-        ResourceRequest(node_count=2, volume=50.0, max_price=9.0),
-        ResourceRequest(node_count=1, volume=25.0, max_price=5.0),
-    ]
-    shards = 3
-    kill_steps = {1, 3}
-    victim_seed = derive_fault_seed(seed, "shard-kill")
-    victim_rng = random.Random(victim_seed)
-    supervisor = WorkerSupervisor(max_restarts=2, backoff_base=0.0, backoff_cap=0.0)
-    oracle = ShardedSearchExecutor(slots, shards)
-    subject = ShardedSearchExecutor(
-        slots, shards, processes=True, supervisor=supervisor
-    )
-    try:
-        for step, request in enumerate(requests):
-            if step in kill_steps:
-                kill_shard_worker(subject, victim_rng.randrange(shards))
-                result.injected += 1
-            oracle_window = oracle.find_alp_window(request)
-            subject_window = subject.find_alp_window(request)
-            if _window_signature(oracle_window) != _window_signature(subject_window):
-                result.failures.append(
-                    f"shard: step {step} find diverges after supervised respawn"
-                )
-                break
-            if oracle_window is not None and subject_window is not None:
-                oracle.commit(oracle_window)
-                subject.commit(subject_window)
-        if _slot_rows(oracle) != _slot_rows(subject):
-            result.failures.append(
-                "shard: final slot state diverges from the in-process oracle"
-            )
-    finally:
-        subject.close()
-        oracle.close()
-    return result
-
-
-# ---------------------------------------------------------------------- #
 # Campaign registry + entry point                                         #
 # ---------------------------------------------------------------------- #
 
@@ -687,7 +594,6 @@ _CAMPAIGNS: dict[str, Callable[[str | Path, int], CampaignResult]] = {
     "experiment": _experiment_campaign,
     "io": _io_campaign,
     "pool": _pool_campaign,
-    "shard": _shard_campaign,
 }
 
 #: Campaign names accepted by :func:`run_campaigns` and ``repro chaos``.

@@ -126,7 +126,6 @@ def _run_experiment(
     checkpoint: str | None = None,
     resume: bool = False,
     trace_base: str | None = None,
-    search_shards: int = 1,
 ) -> "ExperimentResult":
     config = ExperimentConfig(
         objective=objective,
@@ -134,7 +133,6 @@ def _run_experiment(
         seed=seed,
         rho=rho,
         failures=failures,
-        search_shards=search_shards,
     )
     if workers is not None:
         from repro.sim import ParallelRunner
@@ -178,7 +176,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint,
         resume=args.resume,
         trace_base=trace_base,
-        search_shards=args.search_shards,
     )
     if trace_base is not None:
         from pathlib import Path
@@ -302,7 +299,6 @@ def _cmd_vo(args: argparse.Namespace) -> int:
         horizon=args.horizon,
         recovery=recovery,
         max_pending=args.max_pending,
-        search_shards=args.search_shards,
     )
     generator = JobGenerator(seed=args.seed)
     rng = random.Random(args.seed)
@@ -542,18 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="failure_seed",
         help="master seed of the per-node outage streams",
     )
-    experiment.add_argument(
-        "--search-shards",
-        type=_positive_int,
-        default=1,
-        dest="search_shards",
-        metavar="N",
-        help=(
-            "partition-parallel phase-1 slot search inside every "
-            "scheduling cycle (byte-identical to serial for any N; "
-            "composes with --workers, which shards whole iterations)"
-        ),
-    )
     experiment.set_defaults(handler=_cmd_experiment)
 
     figures = sub.add_parser(
@@ -639,17 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         dest="max_revocations",
         help="per-job revocation budget before a typed rejection",
-    )
-    vo.add_argument(
-        "--search-shards",
-        type=_positive_int,
-        default=None,
-        dest="search_shards",
-        metavar="N",
-        help=(
-            "partition-parallel phase-1 slot search in every scheduling "
-            "cycle of the VO (byte-identical to the serial cycle)"
-        ),
     )
     vo.set_defaults(handler=_cmd_vo)
 
@@ -759,11 +732,11 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--campaign",
         action="append",
-        choices=["sweep", "experiment", "io", "pool", "shard"],
+        choices=["sweep", "experiment", "io", "pool"],
         metavar="NAME",
         help=(
             "run only this campaign (repeatable); default runs all of "
-            "sweep, experiment, io, pool, shard"
+            "sweep, experiment, io, pool"
         ),
     )
     chaos.add_argument(

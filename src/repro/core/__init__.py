@@ -87,15 +87,12 @@ from repro.core.scheduler import (
     SchedulerConfig,
 )
 from repro.core.index import SlotIndex
-from repro.core.partition import partition_uids, shard_owners
 from repro.core.search import (
-    DEFAULT_SHARDS,
     SearchResult,
     SlotSearchAlgorithm,
     WindowFinder,
     find_alternatives,
 )
-from repro.core.shard_search import ShardedSearchExecutor
 from repro.core.slot import Slot, SlotList
 from repro.core.strategy import ScheduleStrategy, ScheduleVersion, build_strategy
 from repro.core.timeline import (
@@ -126,10 +123,6 @@ __all__ = [
     "WindowFinder",
     "find_alternatives",
     "SearchResult",
-    "DEFAULT_SHARDS",
-    "ShardedSearchExecutor",
-    "partition_uids",
-    "shard_owners",
     # optimization
     "Criterion",
     "CriteriaVector",

@@ -27,10 +27,8 @@ against each other; the differential oracles in
 unavailable the scalar kernel *is* the implementation, not just the
 spec.
 
-The kernels here are shared by the serial
-:class:`~repro.core.index.SlotIndex` and the per-shard states of
-:class:`~repro.core.shard_search.ShardedSearchExecutor`, so the two fast
-paths cannot drift apart.
+The kernels here back the survivor memos of
+:class:`~repro.core.index.SlotIndex`, the phase-1 fast path.
 """
 
 from __future__ import annotations
@@ -93,8 +91,8 @@ def static_survivor(
 
     This scalar kernel and the vectorized mask of
     :meth:`ColumnStore.survivors` are interchangeable bit-for-bit; the
-    incremental memo maintenance of the index and the shard states uses
-    this form because it touches one row at a time.
+    incremental memo maintenance of the index uses this form because it
+    touches one row at a time.
     """
     performance = row[3]
     if performance < min_performance:

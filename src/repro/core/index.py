@@ -6,11 +6,11 @@ primitive *columns* (start, end, resource uid, performance, price in
 so the ALP/AMP forward scans run over local floats instead of chasing
 ``Slot → Resource`` attribute chains, and window subtraction locates the
 carved slot by bisection instead of a linear rescan.  The index holds no
-``Slot`` objects at all: like the sharded executor, it keeps the only
-``uid → Resource`` map and reconstructs value-equal ``Slot`` objects
-exactly where one leaves the index — a found window's source slots,
-:meth:`subtract`'s return value, :meth:`slot_list` — so the hot scan and
-mutation paths touch nothing but primitive tuples.  The index is built
+``Slot`` objects at all: it keeps the only ``uid → Resource`` map and
+reconstructs value-equal ``Slot`` objects exactly where one leaves the
+index — a found window's source slots, :meth:`subtract`'s return value,
+:meth:`slot_list` — so the hot scan and mutation paths touch nothing but
+primitive tuples.  The index is built
 once per alternative search and maintained *incrementally* across the
 whole multi-pass scheme: every committed window only touches the
 ``O(log m)`` neighbourhood of its source rows.
@@ -22,10 +22,8 @@ are built once by a vectorized mask over the columns
 (:meth:`ColumnStore.survivors`) and then maintained incrementally
 through ``commit``/``insert``/``subtract``, so the repeated passes of
 one alternative search only re-apply the cheap dynamic start-hint
-predicate over the pre-filtered survivors.  This is the same memo
-scheme the per-shard states of
-:class:`~repro.core.shard_search.ShardedSearchExecutor` use (both share
-the kernels in :mod:`repro.core.columns`), applied to the serial path.
+predicate over the pre-filtered survivors (the static predicates are
+the vectorized kernels of :mod:`repro.core.columns`).
 
 The finders here are drop-in equivalents of :func:`repro.core.alp.find_window`
 and :func:`repro.core.amp.find_window`: they perform the same suitability
@@ -34,9 +32,7 @@ the same float-operation order, so the produced windows are bit-for-bit
 identical to the reference scans (``tests/test_reference_oracles.py``
 enforces this differentially, ``tests/test_properties.py`` checks the
 model invariants).  Hoisting the static predicates out of the scan loop
-is order-safe because every skip condition is a pure per-row predicate —
-the argument (and the test suite) that already underwrites the sharded
-path.
+is order-safe because every skip condition is a pure per-row predicate.
 
 Two assumptions, both guaranteed by the paper's model and checked by the
 test suite, let the index go beyond the reference implementation:
@@ -160,14 +156,23 @@ class _Memo:
 
 
 class SlotIndex:
-    """Sorted, incrementally-updated view of a vacant-slot list."""
+    """Sorted, incrementally-updated view of a vacant-slot list.
 
-    __slots__ = ("_columns", "_resources", "_memos", "_ops", "_hint_floor")
+    Attributes:
+        last_scanned: Survivor-memo entries the most recent
+            :meth:`find_alp_window`/:meth:`find_amp_window_at` call
+            visited, hint-dead entries included.  Recorded on every
+            find, so the search loop can report scan depth without a
+            second pass.
+    """
+
+    __slots__ = (
+        "_columns", "_resources", "_memos", "_ops", "_hint_floor", "last_scanned"
+    )
 
     def __init__(self, slots: Iterable[Slot] = ()) -> None:
         materialized = list(slots)
-        # The only uid → Resource map; workers of the sharded executor
-        # and the rows here exchange primitive tuples only.
+        # The only uid → Resource map; the rows hold primitive tuples.
         self._resources: dict[int, Resource] = {
             slot.resource.uid: slot.resource for slot in materialized
         }
@@ -188,6 +193,7 @@ class SlotIndex:
         # docstring).  +inf while the index has only ever been subtracted
         # from, i.e. hints pass through unchanged.
         self._hint_floor = float("inf")
+        self.last_scanned = 0
 
     # ------------------------------------------------------------------ #
     # Container protocol                                                 #
@@ -220,8 +226,7 @@ class SlotIndex:
         """Materialise the current state as a plain :class:`SlotList`.
 
         The returned slots are value-equal reconstructions from the
-        rows (the index keeps no ``Slot`` objects), exactly like the
-        sharded executor's :meth:`~ShardedSearchExecutor.slot_list`.
+        rows (the index keeps no ``Slot`` objects).
         """
         return SlotList(self._materialize())
 
@@ -233,8 +238,7 @@ class SlotIndex:
         tier-1 monotone start-hint prune.  The finders apply a *second*
         hint-derived prune (``end - start_hint < runtime``) to rows that
         survive the static predicates; :meth:`hint_prunes` reports both
-        tiers.  ``O(m)`` vectorized; only called on instrumented runs
-        with decision logging enabled, never on the hot path.
+        tiers.  ``O(m)`` vectorized; never called on the hot path.
         """
         if start_hint > self._hint_floor:
             start_hint = self._hint_floor
@@ -264,8 +268,8 @@ class SlotIndex:
 
         Returns ``(tier1, tier2)`` after the :meth:`insert` hint clamp;
         ``(0, 0)`` for an unset hint.  ``check_price=False`` mirrors the
-        AMP scan, which has no per-slot price cap.  Only called on
-        instrumented runs with decision logging enabled.
+        AMP scan, which has no per-slot price cap.  The search loop
+        calls it only while decision logging is on.
         """
         if start_hint > self._hint_floor:
             start_hint = self._hint_floor
@@ -493,9 +497,11 @@ class SlotIndex:
                     )
                     for c in candidates
                 ]
+                self.last_scanned = scanned
                 self._compact(memo, start_hint, dead, scanned)
                 return Window.from_scan(request, allocations)
-        self._compact(memo, start_hint, dead, len(survivors))
+        self.last_scanned = scanned = len(survivors)
+        self._compact(memo, start_hint, dead, scanned)
         return None
 
     def find_amp_window(
@@ -601,9 +607,11 @@ class SlotIndex:
                     carved_allocation(self._slot_of(item[3]), sync, sync + item[2])
                     for item in chosen
                 ]
+                self.last_scanned = scanned
                 self._compact(memo, start_hint, dead, scanned)
                 return Window.from_scan(request, allocations), start
-        self._compact(memo, start_hint, dead, len(survivors))
+        self.last_scanned = scanned = len(survivors)
+        self._compact(memo, start_hint, dead, scanned)
         return None
 
     # ------------------------------------------------------------------ #
@@ -616,8 +624,7 @@ class SlotIndex:
         Each allocation remembers the vacant slot it was carved from, so
         the containing row is located by bisection rather than the
         linear rescan of :meth:`SlotList.subtract`.  The source slot is
-        matched by value — ``(start, end, uid)`` key plus price — the
-        same contract as the sharded :meth:`_ShardState.commit`.
+        matched by value — ``(start, end, uid)`` key plus price.
 
         Raises:
             SlotListError: If some source slot is no longer in the index.

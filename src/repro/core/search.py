@@ -18,6 +18,17 @@ time, the scheme always terminates.  The resulting alternatives are
 mutually disjoint, so *any* combination choosing one window per job is
 simultaneously realisable — the property the phase-2 dynamic programming
 relies on.
+
+Two implementations of the scheme live here.  The **indexed loop**
+(:class:`~repro.core.index.SlotIndex`: column storage, survivor memos,
+incremental subtraction, monotone start hints) is the only production
+path for ALP/AMP.  The **naive loop** rescans a plain
+:class:`~repro.core.slot.SlotList` through :func:`repro.core.alp.find_window`
+/ :func:`repro.core.amp.find_window` for every window; it is the
+executable specification the differential oracles hold the indexed loop
+to, and the loop custom :data:`WindowFinder` callables run on.
+Telemetry never chooses between them: it attaches to whichever loop runs
+as observers guarded by ``enabled``.
 """
 
 from __future__ import annotations
@@ -31,7 +42,6 @@ from repro.core import alp, amp
 from repro.core.errors import InvalidRequestError
 from repro.core.index import NEG_INF, SlotIndex
 from repro.core.job import Batch, Job, ResourceRequest
-from repro.core.shard_search import ShardedSearchExecutor
 from repro.core.slot import SlotList
 from repro.core.window import Window
 from repro.obs.telemetry import Telemetry, get_telemetry
@@ -41,23 +51,7 @@ __all__ = [
     "SearchResult",
     "find_alternatives",
     "WindowFinder",
-    "DEFAULT_SHARDS",
 ]
-
-#: Default search path for :func:`find_alternatives` when ``use_index`` is
-#: not given.  The indexed path is window-for-window equivalent to the
-#: reference scan (``tests/test_reference_oracles.py``); flipping this to
-#: ``False`` restores the naive O(m)-rescan path everywhere — the escape
-#: hatch the benchmarks use to measure the speedup against the seed
-#: behaviour.
-DEFAULT_USE_INDEX = True
-
-#: Default shard count for :func:`find_alternatives` when ``shards`` is
-#: not given: the phase-1 scan stays serial unless a caller opts into the
-#: partition-parallel path (``shards > 1``), which is byte-identical to
-#: serial (``tests/test_reference_oracles.py``) but only pays off on
-#: fleet-scale slot lists (see docs/benchmarks.md).
-DEFAULT_SHARDS = 1
 
 #: Signature of a pluggable single-window search: takes the current slot
 #: list and a request, returns a window or ``None``.
@@ -138,9 +132,7 @@ def find_alternatives(
     rho: float = 1.0,
     max_passes: int | None = None,
     max_alternatives_per_job: int | None = None,
-    use_index: bool | None = None,
-    shards: int | None = None,
-    shard_processes: bool | None = None,
+    use_index: bool = True,
 ) -> SearchResult:
     """Find alternative windows for every job of ``batch``.
 
@@ -156,32 +148,12 @@ def find_alternatives(
             until a pass finds nothing (the paper's stopping rule).
         max_alternatives_per_job: Optional cap on alternatives collected
             per job; jobs at the cap are skipped in later passes.
-        use_index: Run the phase-1 scans through the shared
-            :class:`~repro.core.index.SlotIndex` (default: the module's
-            :data:`DEFAULT_USE_INDEX`).  The indexed path produces
-            bit-for-bit the same windows as the reference scan; it is
-            bypassed automatically for custom finder callables and — when
-            left at the default — for telemetry-instrumented runs, where
-            the per-slot scan counters of the reference path are part of
-            the contract.  An *explicit* ``use_index=True`` under enabled
-            telemetry runs the instrumented indexed scheme instead
-            (phase timers, start-hint prune accounting).
-        shards: Partition-parallel phase-1 search over this many node
-            shards (default :data:`DEFAULT_SHARDS`, i.e. serial).  The
-            sharded path is byte-identical to serial for every shard
-            count and requires the indexed scheme: ``shards > 1`` with
-            an explicit ``use_index=False`` is rejected, and — because a
-            default ``use_index`` under enabled telemetry selects the
-            *serial* instrumented reference path — ``shards > 1`` with
-            default ``use_index`` and enabled telemetry raises
-            :class:`InvalidRequestError` instead of silently degrading;
-            pass ``use_index=True`` to run the instrumented sharded
-            search.  Custom finder callables cannot be partitioned.
-        shard_processes: Force shard worker processes on/off; ``None``
-            (default) runs the shards in-process, which the EXP-SHARD
-            benchmark shows is the faster mode for multi-pass searches
-            at every slot-list size (memoized shard scans are cheaper
-            than pipe round-trips).  Only meaningful with ``shards > 1``.
+        use_index: Run the ALP/AMP scans through the shared
+            :class:`~repro.core.index.SlotIndex` (the default, and the
+            production path).  ``False`` runs the naive reference scan
+            instead — bit-for-bit the same windows, at ``O(m)`` per
+            find.  Custom finder callables always run on the naive
+            loop.  Enabled telemetry never changes the path.
     """
     if max_passes is not None and max_passes < 1:
         raise InvalidRequestError(f"max_passes must be >= 1, got {max_passes!r}")
@@ -190,36 +162,9 @@ def find_alternatives(
             f"max_alternatives_per_job must be >= 1, got {max_alternatives_per_job!r}"
         )
     telemetry = get_telemetry()
-    if shards is None:
-        shards = DEFAULT_SHARDS
-    elif shards < 1:
-        raise InvalidRequestError(f"shards must be >= 1, got {shards!r}")
-    if shard_processes is not None and shards == 1:
-        raise InvalidRequestError(
-            f"shard_processes={shard_processes!r} is meaningless with shards=1; "
-            "pass shards > 1 to enable the partition-parallel search"
-        )
-    if shards > 1:
-        if not isinstance(algorithm, SlotSearchAlgorithm):
-            raise InvalidRequestError(
-                "sharded search supports only the built-in ALP/AMP algorithms; "
-                "a custom window finder cannot be partitioned"
-            )
-        if use_index is None:
-            if telemetry.enabled:
-                raise InvalidRequestError(
-                    "shards > 1 with default use_index under enabled telemetry "
-                    "would silently fall back to the serial instrumented "
-                    "reference path; pass use_index=True to run the "
-                    "instrumented sharded search"
-                )
-        elif not use_index:
-            raise InvalidRequestError(
-                "sharded search runs on the indexed scheme; use_index=False "
-                "is incompatible with shards > 1"
-            )
-        if telemetry.enabled:
-            return _find_alternatives_sharded_instrumented(
+    if isinstance(algorithm, SlotSearchAlgorithm):
+        if use_index:
+            return _find_alternatives_indexed(
                 telemetry,
                 slot_list,
                 batch,
@@ -227,94 +172,25 @@ def find_alternatives(
                 rho=rho,
                 max_passes=max_passes,
                 max_alternatives_per_job=max_alternatives_per_job,
-                shards=shards,
-                processes=shard_processes,
             )
-        return _find_alternatives_sharded(
-            slot_list,
-            batch,
-            algorithm,
-            rho=rho,
-            max_passes=max_passes,
-            max_alternatives_per_job=max_alternatives_per_job,
-            shards=shards,
-            processes=shard_processes,
-        )
-    if use_index is None:
-        use_index = DEFAULT_USE_INDEX
-        index_allowed = not telemetry.enabled
+        finder, algo_label = algorithm.finder(rho=rho), algorithm.value
     else:
-        index_allowed = True
-    if use_index and isinstance(algorithm, SlotSearchAlgorithm) and index_allowed:
-        if telemetry.enabled:
-            return _find_alternatives_indexed_instrumented(
-                telemetry,
-                slot_list,
-                batch,
-                algorithm,
-                rho=rho,
-                max_passes=max_passes,
-                max_alternatives_per_job=max_alternatives_per_job,
-            )
-        return _find_alternatives_indexed(
-            slot_list,
-            batch,
-            algorithm,
-            rho=rho,
-            max_passes=max_passes,
-            max_alternatives_per_job=max_alternatives_per_job,
-        )
-    finder = (
-        algorithm.finder(rho=rho)
-        if isinstance(algorithm, SlotSearchAlgorithm)
-        else algorithm
-    )
-    algo_label = (
-        algorithm.value if isinstance(algorithm, SlotSearchAlgorithm) else "custom"
-    )
-    if telemetry.enabled:
-        return _find_alternatives_instrumented(
-            telemetry,
-            slot_list,
-            batch,
-            finder,
-            algo_label,
-            max_passes=max_passes,
-            max_alternatives_per_job=max_alternatives_per_job,
-        )
-    # Disabled-telemetry fast path: one enabled check per batch search is
-    # the only cost telemetry ever adds here.
-    working = slot_list.copy()
-    alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
-    passes = 0
-    while max_passes is None or passes < max_passes:
-        passes += 1
-        found_any = False
-        for job in batch:
-            windows = alternatives[job]
-            if (
-                max_alternatives_per_job is not None
-                and len(windows) >= max_alternatives_per_job
-            ):
-                continue
-            window = finder(working, job.request)
-            if window is None:
-                continue
-            for resource, start, end in window.occupied_spans():
-                working.subtract(resource, start, end)
-            windows.append(window)
-            found_any = True
-        if not found_any:
-            break
-    return SearchResult(
-        alternatives=alternatives, remaining_slots=working, passes=passes
+        finder, algo_label = algorithm, "custom"
+    return _find_alternatives_naive(
+        telemetry,
+        slot_list,
+        batch,
+        finder,
+        algo_label,
+        max_passes=max_passes,
+        max_alternatives_per_job=max_alternatives_per_job,
     )
 
 
 def _flush_batch_metrics(
     telemetry: Telemetry, result: SearchResult, algo_label: str
 ) -> None:
-    """Batch-level search counters shared by both instrumented paths."""
+    """Batch-level search counters shared by both loops."""
     if not telemetry.enabled:
         return
     telemetry.count("search.batches", 1, algo=algo_label)
@@ -331,7 +207,7 @@ def _flush_batch_metrics(
         telemetry.observe("search.alternatives_per_job", len(windows), algo=algo_label)
 
 
-def _find_alternatives_instrumented(
+def _find_alternatives_naive(
     telemetry: Telemetry,
     slot_list: SlotList,
     batch: Batch,
@@ -341,19 +217,13 @@ def _find_alternatives_instrumented(
     max_passes: int | None,
     max_alternatives_per_job: int | None,
 ) -> SearchResult:
-    """The reference multi-pass loop with telemetry on.
+    """The reference multi-pass loop: the executable specification.
 
-    Adds the phase-1 span, the per-phase wall timers (window scans vs
-    cross-job slot subtraction, flushed once per batch into
-    ``phase.seconds``), and — when decision logging is on — a ``job=``
-    scope around every finder call, so the ALP/AMP decision records
-    carry the job they were searching for, plus one
-    ``search.alternative_accepted`` record per committed window.
+    Every find rescans the whole working list through ``finder`` and
+    every accepted window is subtracted from a plain :class:`SlotList`.
+    Telemetry observes it at batch granularity only: the phase-1 span
+    and the batch counters.
     """
-    decisions = telemetry.decisions
-    record_decisions = decisions.enabled
-    scan_seconds = 0.0
-    subtract_seconds = 0.0
     with telemetry.span("phase1.find_alternatives", algo=algo_label, jobs=len(batch)):
         working = slot_list.copy()
         alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
@@ -368,44 +238,24 @@ def _find_alternatives_instrumented(
                     and len(windows) >= max_alternatives_per_job
                 ):
                     continue
-                if record_decisions:
-                    with decisions.scope(job=job.name):
-                        began = perf_counter()
-                        window = finder(working, job.request)
-                        scan_seconds += perf_counter() - began
-                else:
-                    began = perf_counter()
-                    window = finder(working, job.request)
-                    scan_seconds += perf_counter() - began
+                window = finder(working, job.request)
                 if window is None:
                     continue
-                began = perf_counter()
                 for resource, start, end in window.occupied_spans():
                     working.subtract(resource, start, end)
-                subtract_seconds += perf_counter() - began
                 windows.append(window)
                 found_any = True
-                if record_decisions:
-                    decisions.emit(
-                        "search.alternative_accepted",
-                        job=job.name,
-                        alternative=len(windows),
-                        search_pass=passes,
-                        start=window.start,
-                        cost=window.cost,
-                    )
             if not found_any:
                 break
         result = SearchResult(
             alternatives=alternatives, remaining_slots=working, passes=passes
         )
         _flush_batch_metrics(telemetry, result, algo_label)
-        telemetry.observe("phase.seconds", scan_seconds, phase="phase1.scan")
-        telemetry.observe("phase.seconds", subtract_seconds, phase="phase1.subtract")
-        return result
+    return result
 
 
 def _find_alternatives_indexed(
+    telemetry: Telemetry,
     slot_list: SlotList,
     batch: Batch,
     algorithm: SlotSearchAlgorithm,
@@ -416,98 +266,36 @@ def _find_alternatives_indexed(
 ) -> SearchResult:
     """The multi-pass scheme over a shared :class:`SlotIndex`.
 
-    Window-for-window equivalent to the reference loop in
-    :func:`find_alternatives`: the index replays the same scans over
-    primitive rows, subtraction is incremental, and per-job ``start_hint``
-    values exploit the monotonicity of window starts across passes (slot
-    subtraction only removes vacant time, so a job's next window can
-    never start before its previous one).
+    Window-for-window equivalent to :func:`_find_alternatives_naive`:
+    the index replays the same scans over primitive rows, subtraction is
+    incremental, and per-job ``start_hint`` values exploit the
+    monotonicity of window starts across passes (slot subtraction only
+    removes vacant time, so a job's next window can never start before
+    its previous one).
+
+    Telemetry attaches as observers behind ``enabled`` checks, none of
+    which feeds back into the search: the phase-1 span, the scan and
+    subtract phase timers, the per-find scan counters (from
+    :attr:`SlotIndex.last_scanned`), the batch counters, and — with
+    decision logging on — one record per find carrying both start-hint
+    prune tiers (the extra ``O(m)``
+    :meth:`~repro.core.index.SlotIndex.hint_prunes` count is only paid
+    then).
     """
-    index = SlotIndex(slot_list)
-    is_amp = algorithm is SlotSearchAlgorithm.AMP
-    budgets = (
-        {job: job.request.scaled_budget(rho) for job in batch} if is_amp else {}
-    )
-    hints: dict[Job, float] = {job: NEG_INF for job in batch}
-    alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
-    # ALP-only: once a job's search comes back empty it stays empty for
-    # the rest of this batch search — later passes only *subtract* vacant
-    # time, and an ALP window over fragments maps candidate-for-candidate
-    # onto the containing rows of any earlier state, so a window
-    # appearing later would have been found now.  AMP is excluded: its
-    # budget test fires only at row-start events >= the hint, and
-    # subtraction mints new row starts (fragment boundaries), so an AMP
-    # failure is not stable under further subtraction.
-    exhausted: set[Job] = set()
-    passes = 0
-    while max_passes is None or passes < max_passes:
-        passes += 1
-        found_any = False
-        for job in batch:
-            if job in exhausted:
-                continue
-            windows = alternatives[job]
-            if (
-                max_alternatives_per_job is not None
-                and len(windows) >= max_alternatives_per_job
-            ):
-                continue
-            if is_amp:
-                found = index.find_amp_window_at(
-                    job.request, budget=budgets[job], start_hint=hints[job]
-                )
-                if found is None:
-                    continue
-                window, event_time = found
-            else:
-                window = index.find_alp_window(job.request, start_hint=hints[job])
-                if window is None:
-                    exhausted.add(job)
-                    continue
-                event_time = window.start
-            index.commit(window)
-            hints[job] = event_time
-            windows.append(window)
-            found_any = True
-        if not found_any:
-            break
-    return SearchResult(
-        alternatives=alternatives, remaining_slots=index.slot_list(), passes=passes
-    )
-
-
-def _find_alternatives_indexed_instrumented(
-    telemetry: Telemetry,
-    slot_list: SlotList,
-    batch: Batch,
-    algorithm: SlotSearchAlgorithm,
-    *,
-    rho: float,
-    max_passes: int | None,
-    max_alternatives_per_job: int | None,
-) -> SearchResult:
-    """The indexed multi-pass scheme with telemetry on.
-
-    Only reached by an *explicit* ``use_index=True`` under enabled
-    telemetry.  Window-for-window equivalent to
-    :func:`_find_alternatives_indexed` — the timers and counters live
-    outside the finders — while attributing wall time to the index scan
-    and the incremental subtraction, and, when decision logging is on,
-    recording both monotone start-hint prune tiers per search (the extra
-    ``O(m)`` :meth:`~repro.core.index.SlotIndex.hint_prunes` count is
-    only paid under decision logging, never on the hot path).
-    """
+    enabled = telemetry.enabled
     decisions = telemetry.decisions
-    record_decisions = decisions.enabled
+    record_decisions = enabled and decisions.enabled
+    algo_label = algorithm.value
     scan_seconds = 0.0
     subtract_seconds = 0.0
+    began = 0.0
+    depths: list[int] = []
     hint_skips = 0
     runtime_skips = 0
+    skipped = 0
+    runtime_skipped = 0
     with telemetry.span(
-        "phase1.find_alternatives",
-        algo=algorithm.value,
-        jobs=len(batch),
-        indexed=True,
+        "phase1.find_alternatives", algo=algo_label, jobs=len(batch), indexed=True
     ):
         index = SlotIndex(slot_list)
         is_amp = algorithm is SlotSearchAlgorithm.AMP
@@ -516,9 +304,15 @@ def _find_alternatives_indexed_instrumented(
         )
         hints: dict[Job, float] = {job: NEG_INF for job in batch}
         alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
-        # Same ALP-only exhausted-job rule as _find_alternatives_indexed
-        # (see the comment there); the sharded instrumented path applies
-        # it identically, keeping the canonical traces equal.
+        # ALP-only: once a job's search comes back empty it stays empty for
+        # the rest of this batch search — later passes only *subtract*
+        # vacant time, and an ALP window over fragments maps
+        # candidate-for-candidate onto the containing rows of any earlier
+        # state, so a window appearing later would have been found now.
+        # AMP is excluded: its budget test fires only at row-start events
+        # >= the hint, and subtraction mints new row starts (fragment
+        # boundaries), so an AMP failure is not stable under further
+        # subtraction.
         exhausted: set[Job] = set()
         passes = 0
         while max_passes is None or passes < max_passes:
@@ -535,16 +329,12 @@ def _find_alternatives_indexed_instrumented(
                     continue
                 if record_decisions:
                     skipped, runtime_skipped = index.hint_prunes(
-                        job.request,
-                        start_hint=hints[job],
-                        check_price=not is_amp,
+                        job.request, start_hint=hints[job], check_price=not is_amp
                     )
                     hint_skips += skipped
                     runtime_skips += runtime_skipped
-                else:
-                    skipped = 0
-                    runtime_skipped = 0
-                began = perf_counter()
+                if enabled:
+                    began = perf_counter()
                 if is_amp:
                     found = index.find_amp_window_at(
                         job.request, budget=budgets[job], start_hint=hints[job]
@@ -553,10 +343,10 @@ def _find_alternatives_indexed_instrumented(
                     alp_window = index.find_alp_window(
                         job.request, start_hint=hints[job]
                     )
-                    found = (
-                        None if alp_window is None else (alp_window, alp_window.start)
-                    )
-                scan_seconds += perf_counter() - began
+                    found = None if alp_window is None else (alp_window, alp_window.start)
+                if enabled:
+                    scan_seconds += perf_counter() - began
+                    depths.append(index.last_scanned)
                 if found is None:
                     if not is_amp:
                         exhausted.add(job)
@@ -565,14 +355,18 @@ def _find_alternatives_indexed_instrumented(
                             "index.no_window",
                             job=job.name,
                             search_pass=passes,
+                            scanned=index.last_scanned,
                             hint_skips=skipped,
                             hint_runtime_skips=runtime_skipped,
                         )
                     continue
                 window, event_time = found
-                began = perf_counter()
-                index.commit(window)
-                subtract_seconds += perf_counter() - began
+                if enabled:
+                    began = perf_counter()
+                    index.commit(window)
+                    subtract_seconds += perf_counter() - began
+                else:
+                    index.commit(window)
                 hints[job] = event_time
                 windows.append(window)
                 found_any = True
@@ -584,6 +378,7 @@ def _find_alternatives_indexed_instrumented(
                         search_pass=passes,
                         start=window.start,
                         cost=window.cost,
+                        scanned=index.last_scanned,
                         hint_skips=skipped,
                         hint_runtime_skips=runtime_skipped,
                     )
@@ -592,225 +387,21 @@ def _find_alternatives_indexed_instrumented(
         result = SearchResult(
             alternatives=alternatives, remaining_slots=index.slot_list(), passes=passes
         )
-        _flush_batch_metrics(telemetry, result, algorithm.value)
-        telemetry.count("search.hint_skips", hint_skips, algo=algorithm.value)
-        telemetry.count(
-            "search.hint_runtime_skips", runtime_skips, algo=algorithm.value
-        )
-        telemetry.observe("phase.seconds", scan_seconds, phase="phase1.index_scan")
-        telemetry.observe("phase.seconds", subtract_seconds, phase="phase1.subtract")
-        return result
-
-
-def _find_alternatives_sharded(
-    slot_list: SlotList,
-    batch: Batch,
-    algorithm: SlotSearchAlgorithm,
-    *,
-    rho: float,
-    max_passes: int | None,
-    max_alternatives_per_job: int | None,
-    shards: int,
-    processes: bool | None,
-) -> SearchResult:
-    """The multi-pass scheme over a partition-parallel executor.
-
-    Identical control flow to :func:`_find_alternatives_indexed` with the
-    :class:`~repro.core.shard_search.ShardedSearchExecutor` standing in
-    for the :class:`SlotIndex` — the executor's finders merge per-shard
-    survivor streams back into global scan order, so every window, hint,
-    and remaining slot is byte-identical to the serial path.
-    """
-    executor = ShardedSearchExecutor(slot_list, shards, processes=processes)
-    try:
-        is_amp = algorithm is SlotSearchAlgorithm.AMP
-        budgets = (
-            {job: job.request.scaled_budget(rho) for job in batch} if is_amp else {}
-        )
-        hints: dict[Job, float] = {job: NEG_INF for job in batch}
-        alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
-        # Same ALP-only exhausted-job rule as _find_alternatives_indexed
-        # (see the comment there).
-        exhausted: set[Job] = set()
-        passes = 0
-        while max_passes is None or passes < max_passes:
-            passes += 1
-            found_any = False
-            for job in batch:
-                if job in exhausted:
-                    continue
-                windows = alternatives[job]
-                if (
-                    max_alternatives_per_job is not None
-                    and len(windows) >= max_alternatives_per_job
-                ):
-                    continue
-                if is_amp:
-                    found = executor.find_amp_window_at(
-                        job.request, budget=budgets[job], start_hint=hints[job]
-                    )
-                    if found is None:
-                        continue
-                    window, event_time = found
-                else:
-                    window = executor.find_alp_window(
-                        job.request, start_hint=hints[job]
-                    )
-                    if window is None:
-                        exhausted.add(job)
-                        continue
-                    event_time = window.start
-                executor.commit(window)
-                hints[job] = event_time
-                windows.append(window)
-                found_any = True
-            if not found_any:
-                break
-        return SearchResult(
-            alternatives=alternatives,
-            remaining_slots=executor.slot_list(),
-            passes=passes,
-        )
-    finally:
-        executor.close()
-
-
-def _find_alternatives_sharded_instrumented(
-    telemetry: Telemetry,
-    slot_list: SlotList,
-    batch: Batch,
-    algorithm: SlotSearchAlgorithm,
-    *,
-    rho: float,
-    max_passes: int | None,
-    max_alternatives_per_job: int | None,
-    shards: int,
-    processes: bool | None,
-) -> SearchResult:
-    """The partition-parallel scheme with telemetry on.
-
-    Emits exactly the surface of
-    :func:`_find_alternatives_indexed_instrumented` — same span
-    attributes, counters, decision records, and hint-skip accounting
-    (per-shard counts sum to the serial value) — so ``canonical_trace``
-    of a sharded run equals the serial indexed run's.  The only sharded
-    extras are per-shard ``phase.seconds`` timings, which the canonical
-    form strips along with every other duration.
-    """
-    decisions = telemetry.decisions
-    record_decisions = decisions.enabled
-    scan_seconds = 0.0
-    subtract_seconds = 0.0
-    hint_skips = 0
-    runtime_skips = 0
-    with telemetry.span(
-        "phase1.find_alternatives",
-        algo=algorithm.value,
-        jobs=len(batch),
-        indexed=True,
-    ):
-        executor = ShardedSearchExecutor(slot_list, shards, processes=processes)
-        try:
-            is_amp = algorithm is SlotSearchAlgorithm.AMP
-            budgets = (
-                {job: job.request.scaled_budget(rho) for job in batch}
-                if is_amp
-                else {}
+        if enabled:
+            _flush_batch_metrics(telemetry, result, algo_label)
+            found_count = result.total_alternatives
+            telemetry.count("search.slots_scanned", sum(depths), algo=algo_label)
+            telemetry.count("search.windows_found", found_count, algo=algo_label)
+            telemetry.count(
+                "search.windows_missed", len(depths) - found_count, algo=algo_label
             )
-            hints: dict[Job, float] = {job: NEG_INF for job in batch}
-            alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
-            # Same ALP-only exhausted-job rule as the serial indexed
-            # paths (see _find_alternatives_indexed).
-            exhausted: set[Job] = set()
-            passes = 0
-            while max_passes is None or passes < max_passes:
-                passes += 1
-                found_any = False
-                for job in batch:
-                    if job in exhausted:
-                        continue
-                    windows = alternatives[job]
-                    if (
-                        max_alternatives_per_job is not None
-                        and len(windows) >= max_alternatives_per_job
-                    ):
-                        continue
-                    began = perf_counter()
-                    if is_amp:
-                        found = executor.find_amp_window_at(
-                            job.request,
-                            budget=budgets[job],
-                            start_hint=hints[job],
-                            count_skips=record_decisions,
-                        )
-                    else:
-                        alp_window = executor.find_alp_window(
-                            job.request,
-                            start_hint=hints[job],
-                            count_skips=record_decisions,
-                        )
-                        found = (
-                            None
-                            if alp_window is None
-                            else (alp_window, alp_window.start)
-                        )
-                    scan_seconds += perf_counter() - began
-                    if record_decisions:
-                        skipped = executor.last_hint_skips
-                        runtime_skipped = executor.last_runtime_skips
-                    else:
-                        skipped = 0
-                        runtime_skipped = 0
-                    hint_skips += skipped
-                    runtime_skips += runtime_skipped
-                    if found is None:
-                        if not is_amp:
-                            exhausted.add(job)
-                        if record_decisions:
-                            decisions.emit(
-                                "index.no_window",
-                                job=job.name,
-                                search_pass=passes,
-                                hint_skips=skipped,
-                                hint_runtime_skips=runtime_skipped,
-                            )
-                        continue
-                    window, event_time = found
-                    began = perf_counter()
-                    executor.commit(window)
-                    subtract_seconds += perf_counter() - began
-                    hints[job] = event_time
-                    windows.append(window)
-                    found_any = True
-                    if record_decisions:
-                        decisions.emit(
-                            "search.alternative_accepted",
-                            job=job.name,
-                            alternative=len(windows),
-                            search_pass=passes,
-                            start=window.start,
-                            cost=window.cost,
-                            hint_skips=skipped,
-                            hint_runtime_skips=runtime_skipped,
-                        )
-                if not found_any:
-                    break
-            result = SearchResult(
-                alternatives=alternatives,
-                remaining_slots=executor.slot_list(),
-                passes=passes,
+            depth_histogram = telemetry.registry.histogram(
+                "search.scan_depth", algo=algo_label
             )
-            for shard, seconds in enumerate(executor.shard_scan_seconds):
-                telemetry.observe(
-                    "phase.seconds", seconds, phase=f"phase1.shard{shard}.scan"
-                )
-        finally:
-            executor.close()
-        _flush_batch_metrics(telemetry, result, algorithm.value)
-        telemetry.count("search.hint_skips", hint_skips, algo=algorithm.value)
-        telemetry.count(
-            "search.hint_runtime_skips", runtime_skips, algo=algorithm.value
-        )
-        telemetry.observe("phase.seconds", scan_seconds, phase="phase1.index_scan")
-        telemetry.observe("phase.seconds", subtract_seconds, phase="phase1.subtract")
-        return result
+            for depth in depths:
+                depth_histogram.observe(depth)
+            telemetry.count("search.hint_skips", hint_skips, algo=algo_label)
+            telemetry.count("search.hint_runtime_skips", runtime_skips, algo=algo_label)
+            telemetry.observe("phase.seconds", scan_seconds, phase="phase1.scan")
+            telemetry.observe("phase.seconds", subtract_seconds, phase="phase1.subtract")
+    return result

@@ -28,7 +28,7 @@ __all__ = ["TaskAllocation", "Window", "carved_allocation"]
 def carved_allocation(source: Slot, start: float, end: float) -> TaskAllocation:
     """Construct a :class:`TaskAllocation` without re-validating containment.
 
-    Trusted fast path for the indexed and sharded finders, whose scan
+    Trusted fast path for the indexed finders, whose scan
     invariants guarantee ``source.contains_span(start, end)``: a
     candidate is only admitted while ``end - window_start >= runtime``
     holds and rows are scanned in start order, so every emitted placement
@@ -129,7 +129,7 @@ class Window:
     def from_scan(cls, request: ResourceRequest, allocations: Sequence[TaskAllocation]) -> "Window":
         """Construct a window from a finder's scan without re-validating.
 
-        Trusted fast path for the indexed and sharded finders: the scan
+        Trusted fast path for the indexed finders: the scan
         emits exactly ``node_count`` placements sharing one start, and
         distinct resources follow from same-resource slots being
         disjoint (two allocations covering the same start on one

@@ -40,8 +40,6 @@ WORKER_ENTRY_POINTS = (
     "repro.sim.experiment._run_span",
     "repro.sim.experiment._run_span_traced",
     "repro.sim.experiment._run_indices",
-    # ShardedSearchExecutor worker loop.
-    "repro.core.shard_search._shard_worker",
     # Chaos-engine supervised span task (pool-shipped callable).
     "repro.chaos.proc.CrashOnceSpanTask.__call__",
 )
@@ -425,8 +423,8 @@ class ForkSafetyRule(Rule):
     pool they either fail loudly or (worse) arrive as divergent copies.
     One exception is encoded: pipe ``Connection`` ends **may** ride in
     ``Process(args=...)`` — handing a child its pipe at creation time is
-    the documented multiprocessing pattern (``shard_search`` does it) —
-    but never through a pool's pickling methods.
+    the documented multiprocessing pattern — but never through a pool's
+    pickling methods.
     """
 
     code = "RPR103"

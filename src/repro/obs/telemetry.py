@@ -5,10 +5,10 @@ Design constraints (see ``docs/observability.md``):
 * **Disabled by default, free when disabled.**  Every recording method
   starts with a single ``self.enabled`` check; ``span`` returns the
   shared :data:`~repro.obs.spans.NOOP_SPAN` singleton, so disabled call
-  sites allocate nothing.  The truly hot per-slot loops in
-  :mod:`repro.core.alp` / :mod:`repro.core.amp` go further and branch to
-  an uninstrumented copy of the loop, so they pay exactly one boolean
-  check per *search*, not per slot.
+  sites allocate nothing.  The phase-1 search loop in
+  :mod:`repro.core.search` guards its per-find hooks with one boolean
+  check each and never touches the per-slot scans, so telemetry is an
+  observer: enabling it does not change which code runs.
 * **Stdlib only.**  This module is imported by the core algorithm
   modules, so it must never import back into :mod:`repro.core` or
   :mod:`repro.sim`.
@@ -19,7 +19,7 @@ Design constraints (see ``docs/observability.md``):
   immediately.
 
 Environment: setting ``REPRO_TELEMETRY=1`` enables telemetry at import
-time — that is how the CI benchmark smoke run measures instrumented
+time — that is how the CI benchmark smoke run measures the telemetry-on
 overhead without code changes.
 """
 

@@ -312,7 +312,7 @@ class TestDecisionCommands:
         assert main(["explain"] + shards + ["--job", "b1-j0"]) == 0
         out = capsys.readouterr().out
         assert "b1-j0" in out
-        assert "alp.window" in out
+        assert "search.alternative_accepted" in out
         assert "records" in out
 
     def test_explain_iteration_filter_narrows_output(self, capsys, shards):

@@ -4,8 +4,7 @@ The load-bearing property is **mask/kernel parity**: the vectorized
 survivor mask of :meth:`ColumnStore.survivors` must be bit-for-bit
 interchangeable with mapping the scalar :func:`static_survivor` kernel
 over every row — same survivor set, same precomputed runtimes — because
-the serial index and the shard states build their memos through either
-form depending on whether numpy is present and whether the memo is
+the index builds its memos through either form depending on whether numpy is present and whether the memo is
 being built (vectorized) or maintained (scalar).
 """
 
@@ -62,9 +61,8 @@ class TestMaskKernelParity:
             assert vec == scal
 
     def test_degenerate_request_keeps_all_rows(self):
-        # The sharded hint_skippable probe scans with volume 0 and an
-        # unbounded performance floor: every row must survive with
-        # runtime exactly 0.0.
+        # Volume 0 and an unbounded performance floor: every row must
+        # survive with runtime exactly 0.0.
         store = ColumnStore(random_rows(3))
         entries, positions = store.survivors(0.0, float("-inf"), None)
         assert positions == list(range(len(store)))

@@ -11,8 +11,8 @@ Covers the three satellite fixes:
   oracle covers it at scale);
 * ``hint_prunes`` reports *both* start-hint prune tiers — the old
   ``hint_skippable`` count only covered tier 1 (``end <= start_hint``),
-  under-reporting the finders' actual skip work — and the instrumented
-  search paths carry both numbers in their decision records.
+  under-reporting the finders' actual skip work — and the search loop's
+  decision records carry both numbers.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ class TestHintPrunes:
 
 
 class TestDecisionRecordFields:
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_accepted_records_carry_both_tiers(self, shards):
+    @pytest.mark.parametrize("node_count", [1, 2])
+    def test_accepted_records_carry_both_tiers(self, node_count):
         configure(decisions=DecisionLog())
         telemetry = get_telemetry()
         slots = SlotList(
@@ -165,7 +165,7 @@ class TestDecisionRecordFields:
             [
                 Job(
                     ResourceRequest(
-                        node_count=2,
+                        node_count=node_count,
                         volume=100.0,
                         min_performance=1.0,
                         max_price=2.0,
@@ -174,51 +174,59 @@ class TestDecisionRecordFields:
                 )
             ]
         )
-        find_alternatives(
-            slots,
-            batch,
-            SlotSearchAlgorithm.ALP,
-            use_index=True,
-            shards=shards if shards > 1 else None,
-        )
+        find_alternatives(slots, batch, SlotSearchAlgorithm.ALP)
         records = [
             record
             for record in telemetry.decisions.records
             if record["op"] in ("search.alternative_accepted", "index.no_window")
         ]
-        assert records, "instrumented search emitted no decision records"
+        assert records, "search with decision logging emitted no records"
         for record in records:
             assert "hint_skips" in record
             assert "hint_runtime_skips" in record
 
-    def test_serial_and_sharded_report_equal_prunes(self):
-        from tests.conftest import make_random_batch, make_random_slot_list
+    def test_serial_and_sharded_report_equal_prunes(self, tmp_path):
+        """A traced series cut into worker shards (spans run in isolation,
+        last span first) reports the same per-find prune counts as the
+        serial traced run once its shard traces are merged."""
+        from repro.obs import merge_trace_files
+        from repro.sim import ExperimentConfig
+        from repro.sim.experiment import (
+            _run_span_traced,
+            _shard_spans,
+            trace_shard_path,
+        )
 
-        for seed in range(6):
-            slots = make_random_slot_list(seed)
-            batch = make_random_batch(seed)
-            reports: list[list[tuple]] = []
-            for shards in (1, 2):
-                configure(decisions=DecisionLog())
-                telemetry = get_telemetry()
-                find_alternatives(
-                    slots,
-                    batch,
-                    SlotSearchAlgorithm.AMP,
-                    use_index=True,
-                    shards=shards if shards > 1 else None,
+        config = ExperimentConfig(iterations=5, seed=20110368)
+
+        def prune_report(trace):
+            return [
+                (
+                    record["iteration"],
+                    record["op"],
+                    record.get("job"),
+                    record.get("hint_skips"),
+                    record.get("hint_runtime_skips"),
                 )
-                reports.append(
-                    [
-                        (
-                            record["op"],
-                            record.get("job"),
-                            record.get("hint_skips"),
-                            record.get("hint_runtime_skips"),
-                        )
-                        for record in telemetry.decisions.records
-                        if record["op"]
-                        in ("search.alternative_accepted", "index.no_window")
-                    ]
-                )
-            assert reports[0] == reports[1], f"prune reports diverge at seed {seed}"
+                for record in trace.decisions
+                if record["op"] in ("search.alternative_accepted", "index.no_window")
+            ]
+
+        serial_base = tmp_path / "serial.jsonl"
+        _run_span_traced(config, 0, config.iterations, str(serial_base), 0)
+        serial = prune_report(
+            merge_trace_files([str(trace_shard_path(serial_base, 0))])
+        )
+        sharded_base = tmp_path / "sharded.jsonl"
+        spans = _shard_spans(config.iterations, 2)
+        for worker in reversed(range(len(spans))):
+            start, stop = spans[worker]
+            _run_span_traced(config, start, stop, str(sharded_base), worker)
+        sharded = prune_report(
+            merge_trace_files(
+                [str(trace_shard_path(sharded_base, w)) for w in range(len(spans))]
+            )
+        )
+        assert serial, "traced series emitted no prune reports"
+        assert any(skips for *_, skips, _ in serial), "no hint prunes exercised"
+        assert sharded == serial

@@ -244,7 +244,7 @@ class TestForkSafetyRule:
 
     def test_pipe_connection_in_process_args_is_allowed(self):
         # Handing a child its pipe end at creation time is the
-        # documented multiprocessing pattern (shard_search uses it).
+        # documented multiprocessing pattern.
         report = self.run(
             "from multiprocessing import Pipe, Process\n"
             "def driver(fn):\n"

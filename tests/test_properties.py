@@ -149,64 +149,52 @@ def test_alp_feasible_implies_amp_feasible(seed, request):
 
 
 # --------------------------------------------------------------------- #
-# Partitioner properties (repro.core.partition)                         #
+# Series partition properties (repro.sim.experiment._shard_spans)       #
 # --------------------------------------------------------------------- #
 #
-# The sharded search's byte-identity proof (tests/test_reference_oracles
-# .py) leans on three partition contracts; they are pinned here over
-# arbitrary uid multisets, not just the ones slot generators produce.
+# ParallelRunner's worker-count invariance leans on how it cuts a seeded
+# series into worker spans; the contracts are pinned here for arbitrary
+# series lengths and shard counts.
 
-from repro.core import partition_uids, shard_owners  # noqa: E402
+from repro.sim.experiment import _shard_spans  # noqa: E402
 
-_uid_lists = st.lists(st.integers(min_value=0, max_value=500), max_size=60)
+_series_lengths = st.integers(min_value=0, max_value=400)
 _shard_counts = st.integers(min_value=1, max_value=9)
 
 
 @settings(max_examples=150, deadline=None)
-@given(uids=_uid_lists, shards=_shard_counts)
-def test_partition_is_a_disjoint_cover(uids, shards):
-    """Every uid lands in exactly one block — no slot is scanned twice
-    by the sharded search and none is dropped."""
-    blocks = partition_uids(uids, shards)
-    assert len(blocks) == shards
-    flat = [uid for block in blocks for uid in block]
-    assert len(flat) == len(set(flat))
-    assert set(flat) == set(uids)
-    owners = shard_owners(blocks)
-    for index, block in enumerate(blocks):
-        for uid in block:
-            assert owners[uid] == index
+@given(iterations=_series_lengths, shards=_shard_counts)
+def test_partition_is_a_disjoint_cover(iterations, shards):
+    """Every iteration lands in exactly one non-empty span — no
+    iteration runs twice across workers and none is dropped."""
+    spans = _shard_spans(iterations, shards)
+    assert len(spans) == min(iterations, shards)
+    covered = [index for start, stop in spans for index in range(start, stop)]
+    assert len(covered) == len(set(covered))
+    assert set(covered) == set(range(iterations))
+    assert all(start < stop for start, stop in spans)
 
 
 @settings(max_examples=150, deadline=None)
-@given(uids=_uid_lists, shards=_shard_counts)
-def test_partition_ordering_is_stable(uids, shards):
-    """Concatenating the blocks reproduces the sorted deduplicated uid
-    set — for *every* shard count — and block sizes are balanced to
-    within one, larger blocks first."""
-    blocks = partition_uids(uids, shards)
-    flat = [uid for block in blocks for uid in block]
-    assert flat == sorted(set(uids))
-    sizes = [len(block) for block in blocks]
-    assert max(sizes) - min(sizes) <= 1
+@given(iterations=_series_lengths, shards=_shard_counts)
+def test_partition_ordering_is_stable(iterations, shards):
+    """Spans are contiguous and ascending, so merging worker results in
+    span order replays the serial iteration order; sizes are balanced to
+    within one, larger spans first."""
+    spans = _shard_spans(iterations, shards)
+    cursor = 0
+    for start, stop in spans:
+        assert start == cursor
+        cursor = stop
+    assert cursor == iterations
+    sizes = [stop - start for start, stop in spans]
+    if sizes:
+        assert max(sizes) - min(sizes) <= 1
     assert sizes == sorted(sizes, reverse=True)
 
 
-@settings(max_examples=150, deadline=None)
-@given(uids=_uid_lists, shards=_shard_counts)
-def test_partition_is_input_order_and_multiplicity_independent(uids, shards):
-    """The split is a pure function of the uid *set*: reversing the
-    input, duplicating entries, or calling twice changes nothing — the
-    property that lets any process (or a revocation event arriving much
-    later) recompute the same uid → shard routing with no shared state."""
-    reference = partition_uids(uids, shards)
-    assert partition_uids(reversed(uids), shards) == reference
-    assert partition_uids(uids + uids, shards) == reference
-    assert partition_uids(uids, shards) == reference
-
-
 @settings(max_examples=80, deadline=None)
-@given(uids=_uid_lists)
-def test_partition_single_shard_is_identity(uids):
-    """shards=1 degenerates to the sorted uid set in one block."""
-    assert partition_uids(uids, 1) == [tuple(sorted(set(uids)))]
+@given(iterations=st.integers(min_value=1, max_value=400))
+def test_partition_single_shard_is_identity(iterations):
+    """shards=1 degenerates to the whole series in one span."""
+    assert _shard_spans(iterations, 1) == [(0, iterations)]

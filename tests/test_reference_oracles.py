@@ -15,19 +15,19 @@ of random instances.  This is the equivalence-testing policy of
 docs/benchmarks.md: any future fast path must ship with tests of this
 shape before it may become the default.
 
-The third section is the *sharded-oracle* suite: the partition-parallel
-search (:class:`repro.core.shard_search.ShardedSearchExecutor`) must be
-byte-identical to the serial indexed path for **every** shard count —
-the merge of the per-shard filtered streams replays the serial candidate
-loop float-op for float-op, so the fingerprints compare with ``==``, not
-``approx``.  The churn scenario additionally drives the executor through
-the PR 3 revocation life cycle (commit / revoke / re-insert with carried
-hints) against a live :class:`SlotIndex`.
+The third section is the *seed-sharded series* suite.  Phase 1 runs
+serially; parallelism lives one level up, where
+:class:`repro.sim.experiment.ParallelRunner` cuts a seeded series into
+contiguous spans that worker processes regenerate from per-iteration
+derived seeds.  Every shard count must reproduce the serial series
+search for search, byte for byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -35,9 +35,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Criterion,
-    Resource,
     ResourceRequest,
-    ShardedSearchExecutor,
     Slot,
     SlotIndex,
     SlotList,
@@ -49,6 +47,9 @@ from repro.core import (
     vo_budget,
 )
 from repro.core import alp, amp
+from repro.sim import ExperimentConfig, ParallelRunner
+from repro.sim.experiment import _run_span, _shard_spans, generate_iteration
+from repro.sim.stats import merge_results
 
 from tests.conftest import make_random_batch, make_random_request, make_random_slot_list
 
@@ -336,159 +337,6 @@ def test_indexed_find_with_stale_hints_after_reinsertion():
 
 
 # --------------------------------------------------------------------- #
-# Sharded-oracle suite: partition-parallel search vs serial indexed     #
-# --------------------------------------------------------------------- #
-
-#: Shard counts under test: the serial degenerate case, even and odd
-#: splits, a count matching typical core counts, and one *larger than
-#: some instances' node sets* (trailing empty shards must be harmless).
-SHARD_COUNTS = [1, 2, 3, 4, 7]
-
-SHARD_SEEDS = range(25)
-
-
-def _sharded_fingerprints(
-    seed: int,
-    algorithm: SlotSearchAlgorithm,
-    shards: int,
-    *,
-    rho: float = 1.0,
-    processes: bool | None = None,
-):
-    """(serial indexed, sharded) search fingerprints of one instance."""
-    slots = make_random_slot_list(seed, count=40)
-    batch = make_random_batch(seed)
-    serial = find_alternatives(slots, batch, algorithm, rho=rho, use_index=True)
-    sharded = find_alternatives(
-        slots,
-        batch,
-        algorithm,
-        rho=rho,
-        use_index=True,
-        shards=shards,
-        shard_processes=processes if shards > 1 else None,
-    )
-    return _search_fingerprint(serial), _search_fingerprint(sharded)
-
-
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize(
-    "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
-)
-def test_sharded_search_matches_serial(algorithm, shards):
-    """``find_alternatives(..., shards=N)`` is byte-identical to the
-    serial indexed search for every tested N — same alternatives, same
-    pass counts, same remaining slots, bit-equal floats throughout."""
-    for seed in SHARD_SEEDS:
-        serial, sharded = _sharded_fingerprints(seed, algorithm, shards)
-        assert sharded == serial, (
-            f"divergence on seed={seed} algorithm={algorithm.value} shards={shards}"
-        )
-
-
-@pytest.mark.parametrize(
-    "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
-)
-def test_sharded_search_matches_serial_across_processes(algorithm):
-    """Worker *processes* change nothing: the master's merge restores the
-    global scan order regardless of how the OS schedules the shards."""
-    for seed in range(4):
-        serial, sharded = _sharded_fingerprints(seed, algorithm, 3, processes=True)
-        assert sharded == serial, f"divergence on seed={seed} (process mode)"
-
-
-def test_sharded_search_matches_serial_scaled_budget():
-    """Equivalence survives the Section 6 budget shrink (rho < 1)."""
-    for seed in range(15):
-        serial, sharded = _sharded_fingerprints(
-            seed, SlotSearchAlgorithm.AMP, 4, rho=0.5
-        )
-        assert sharded == serial, f"divergence on seed={seed} rho=0.5"
-
-
-def test_sharded_executor_matches_index_under_revocation_churn():
-    """The stale-hint revocation scenario, replayed against the executor.
-
-    The same commit/revoke/re-insert life cycle as
-    ``test_indexed_find_with_stale_hints_after_reinsertion``, but driving
-    a 3-shard :class:`ShardedSearchExecutor` in lockstep with a serial
-    :class:`SlotIndex`: every hinted find, every ``hint_skippable``
-    count, and the final materialised slot list must agree exactly —
-    including after re-inserted spans land on whichever shard owns the
-    revoked node.
-    """
-    churned = 0
-    for seed in range(40):
-        slots = make_random_slot_list(seed, count=30)
-        rng = random.Random(seed * 17 + 3)
-        request = make_random_request(rng)
-        index = SlotIndex(slots)
-        with ShardedSearchExecutor(slots, 3) as executor:
-            hint = float("-inf")
-            committed: list = []
-            for _ in range(5):
-                assert executor.hint_skippable(hint) == index.hint_skippable(hint)
-                reference = index.find_alp_window(request, start_hint=hint)
-                sharded = executor.find_alp_window(request, start_hint=hint)
-                assert (sharded is None) == (reference is None), f"seed={seed}"
-                if reference is None:
-                    break
-                assert _window_fingerprint(sharded) == _window_fingerprint(
-                    reference
-                ), f"divergence on seed={seed}"
-                index.commit(reference)
-                executor.commit(sharded)
-                committed.append(reference)
-                hint = reference.start
-                if len(committed) > 1 and rng.random() < 0.6:
-                    revoked = committed.pop(0)
-                    for allocation in revoked.allocations:
-                        replacement = Slot(
-                            allocation.resource,
-                            allocation.start,
-                            allocation.end,
-                            allocation.unit_price,
-                        )
-                        index.insert(replacement)
-                        executor.insert(replacement)
-                    churned += 1
-            remaining = sorted(
-                (s.resource.uid, s.start, s.end, s.price)
-                for s in executor.slot_list()
-            )
-            expected = sorted(
-                (s.resource.uid, s.start, s.end, s.price) for s in index.slot_list()
-            )
-            assert remaining == expected, f"slot lists diverged on seed={seed}"
-    assert churned >= 8, f"too few revocation churns exercised ({churned})"
-
-
-def test_sharded_executor_amp_event_hints_match_index():
-    """AMP's event-time hints (``find_amp_window_at``) round-trip through
-    the executor identically — the hint the multi-pass search carries is
-    the accepting event time, not the window start."""
-    for seed in range(20):
-        slots = make_random_slot_list(seed, count=30)
-        rng = random.Random(seed * 13 + 5)
-        request = make_random_request(rng)
-        index = SlotIndex(slots)
-        with ShardedSearchExecutor(slots, 4) as executor:
-            hint = float("-inf")
-            for _ in range(4):
-                reference = index.find_amp_window_at(request, start_hint=hint)
-                sharded = executor.find_amp_window_at(request, start_hint=hint)
-                assert (sharded is None) == (reference is None), f"seed={seed}"
-                if reference is None:
-                    break
-                assert _window_fingerprint(sharded[0]) == _window_fingerprint(
-                    reference[0]
-                ), f"divergence on seed={seed}"
-                assert sharded[1] == reference[1], f"event time, seed={seed}"
-                index.commit(reference[0])
-                executor.commit(sharded[0])
-                hint = reference[1]
-
-# --------------------------------------------------------------------- #
 # Column-path oracle: vectorized masks vs scalar fallback               #
 # --------------------------------------------------------------------- #
 
@@ -525,15 +373,143 @@ def test_column_scalar_fallback_matches_vectorized(algorithm, monkeypatch):
         )
 
 
+# --------------------------------------------------------------------- #
+# Seed-sharded series: spans regenerated in isolation vs one serial run #
+# --------------------------------------------------------------------- #
+#
+# Resource uids come from a process-global counter, so a shard that
+# regenerates its iterations mints different uids than the serial run;
+# the searches must not depend on them.  The fingerprints below name
+# resources instead of uids for that reason.
+
+#: Shard counts under test: the serial degenerate case, even and odd
+#: splits, a count matching typical core counts, and one *larger than
+#: the series* (the runner drops the empty trailing spans).
+SHARD_COUNTS = [1, 2, 3, 4, 7]
+
+SHARD_SERIES = ExperimentConfig(objective=Criterion.TIME, iterations=6, seed=20110368)
+
+
+def _portable_search_fingerprint(result):
+    """:func:`_search_fingerprint` with resources named, not numbered."""
+
+    def window_rows(window):
+        return (
+            window.start,
+            tuple(
+                (a.resource.name, a.start, a.end, a.source.price)
+                for a in window.allocations
+            ),
+        )
+
+    return {
+        "alternatives": {
+            job.name: [window_rows(w) for w in windows]
+            for job, windows in result.alternatives.items()
+        },
+        "passes": result.passes,
+        "remaining": sorted(
+            (s.resource.name, s.start, s.end, s.price) for s in result.remaining_slots
+        ),
+    }
+
+
+def _span_search_fingerprints(
+    config: ExperimentConfig, algorithm: SlotSearchAlgorithm, start: int, stop: int
+):
+    """Phase-1 fingerprints of iterations ``[start, stop)``, regenerated
+    from their derived seeds the way a worker shard does."""
+    fingerprints = []
+    for index in range(start, stop):
+        slots, batch = generate_iteration(config, index)
+        search = find_alternatives(slots, batch, algorithm, rho=config.rho)
+        fingerprints.append(_portable_search_fingerprint(search))
+    return fingerprints
+
+
+def _sharded_series_fingerprints(
+    config: ExperimentConfig, algorithm: SlotSearchAlgorithm, shards: int
+):
+    """(serial, sharded) phase-1 fingerprints of one seeded series.
+
+    The shards run last span first, so no span sees the resource uids
+    (or any other process state) it would have seen in the serial run.
+    """
+    serial = _span_search_fingerprints(config, algorithm, 0, config.iterations)
+    spans = _shard_spans(config.iterations, shards)
+    chunks = [
+        _span_search_fingerprints(config, algorithm, start, stop)
+        for start, stop in reversed(spans)
+    ]
+    sharded = [fingerprint for chunk in reversed(chunks) for fingerprint in chunk]
+    return serial, sharded
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+@pytest.mark.parametrize(
+    "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
+)
+def test_sharded_search_matches_serial(algorithm, shards):
+    """A series cut into ``shards`` spans finds the same alternatives as
+    the serial run, iteration for iteration, and the merged span results
+    equal the whole-series result."""
+    serial, sharded = _sharded_series_fingerprints(SHARD_SERIES, algorithm, shards)
+    assert sharded == serial, (
+        f"divergence on algorithm={algorithm.value} shards={shards}"
+    )
+    spans = _shard_spans(SHARD_SERIES.iterations, shards)
+    merged = merge_results(
+        [_run_span(SHARD_SERIES, start, stop) for start, stop in spans],
+        config=SHARD_SERIES,
+    )
+    assert merged == _run_span(SHARD_SERIES, 0, SHARD_SERIES.iterations)
+
+
+@pytest.mark.parametrize(
+    "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
+)
+def test_sharded_search_matches_serial_across_processes(algorithm):
+    """Shards searched in worker processes, and a 3-worker
+    :class:`ParallelRunner` series, equal the serial run."""
+    serial = _span_search_fingerprints(
+        SHARD_SERIES, algorithm, 0, SHARD_SERIES.iterations
+    )
+    spans = _shard_spans(SHARD_SERIES.iterations, 3)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        chunks = list(
+            pool.map(
+                _span_search_fingerprints,
+                [SHARD_SERIES] * len(spans),
+                [algorithm] * len(spans),
+                [start for start, _ in spans],
+                [stop for _, stop in spans],
+            )
+        )
+    sharded = [fingerprint for chunk in chunks for fingerprint in chunk]
+    assert sharded == serial, "divergence in process mode"
+    parallel = ParallelRunner(SHARD_SERIES, workers=3).run()
+    assert parallel == _run_span(SHARD_SERIES, 0, SHARD_SERIES.iterations)
+
+
+def test_sharded_search_matches_serial_scaled_budget():
+    """The equivalence holds under the Section 6 budget-shrink extension."""
+    config = dataclasses.replace(SHARD_SERIES, rho=0.5)
+    serial, sharded = _sharded_series_fingerprints(config, SlotSearchAlgorithm.AMP, 3)
+    assert sharded == serial, "divergence at rho=0.5"
+
+
 def test_column_scalar_fallback_matches_serial_sharded(monkeypatch):
-    """Shard workers share the column kernels; the fallback must keep the
-    sharded merge byte-identical to the serial indexed path too."""
+    """Shards searched through the scalar column kernel reproduce the
+    vectorized serial series."""
     import repro.core.columns as columns_module
 
-    monkeypatch.setattr(columns_module, "_np", None)
-    for seed in range(10):
-        for algorithm in (SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP):
-            serial, sharded = _sharded_fingerprints(seed, algorithm, 3)
-            assert sharded == serial, (
-                f"divergence on seed={seed} algorithm={algorithm.value} (no numpy)"
-            )
+    for algorithm in (SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP):
+        serial = _span_search_fingerprints(
+            SHARD_SERIES, algorithm, 0, SHARD_SERIES.iterations
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(columns_module, "_np", None)
+            _, sharded = _sharded_series_fingerprints(SHARD_SERIES, algorithm, 3)
+        assert sharded == serial, (
+            f"scalar shards diverged from vectorized serial, algorithm={algorithm.value}"
+        )

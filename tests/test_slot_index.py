@@ -13,7 +13,12 @@ import pytest
 from repro.core import ResourceRequest, SlotIndex, SlotList, SlotListError
 from repro.core import alp
 
-from tests.conftest import make_random_slot_list, make_resource, make_uniform_slots
+from tests.conftest import (
+    make_random_batch,
+    make_random_slot_list,
+    make_resource,
+    make_uniform_slots,
+)
 
 
 class TestContainer:
@@ -170,3 +175,69 @@ class TestSubtract:
         index = SlotIndex(slots)
         with pytest.raises(SlotListError):
             index.subtract(list(slots)[0].resource, 6.0, 4.0)
+
+
+class _CountingEntries(list):
+    """A survivor-memo entry list that counts the entries a scan visits."""
+
+    visited = 0
+
+    def __iter__(self):
+        for entry in list.__iter__(self):
+            self.visited += 1
+            yield entry
+
+
+class TestLastScanned:
+    """``last_scanned`` equals the memo entries the finder's scan visited."""
+
+    @staticmethod
+    def _counting_index(slots, monkeypatch):
+        memos: list[_CountingEntries] = []
+        original = SlotIndex._survivors
+
+        def counting(self, *args, **kwargs):
+            memo = original(self, *args, **kwargs)
+            if not isinstance(memo.entries, _CountingEntries):
+                memo.entries = _CountingEntries(memo.entries)
+            memos.append(memo.entries)
+            return memo
+
+        monkeypatch.setattr(SlotIndex, "_survivors", counting)
+        return SlotIndex(slots), memos
+
+    @pytest.mark.parametrize("is_amp", [False, True], ids=["alp", "amp"])
+    def test_matches_visited_entries_across_passes(self, is_amp, monkeypatch):
+        finds = 0
+        for seed in range(12):
+            slots = make_random_slot_list(seed, count=40)
+            index, memos = self._counting_index(slots, monkeypatch)
+            batch = make_random_batch(seed)
+            hints = {job: float("-inf") for job in batch}
+            for _ in range(4):
+                for job in batch:
+                    memos.clear()
+                    if is_amp:
+                        found = index.find_amp_window_at(
+                            job.request, start_hint=hints[job]
+                        )
+                    else:
+                        window = index.find_alp_window(
+                            job.request, start_hint=hints[job]
+                        )
+                        found = None if window is None else (window, window.start)
+                    (entries,) = memos
+                    assert index.last_scanned == entries.visited, f"seed={seed}"
+                    entries.visited = 0
+                    finds += 1
+                    if found is not None:
+                        index.commit(found[0])
+                        hints[job] = found[1]
+        assert finds > 100
+
+    def test_miss_scans_every_survivor(self):
+        index = SlotIndex(make_uniform_slots(3, length=50.0))
+        assert index.find_alp_window(ResourceRequest(4, 10.0)) is None
+        assert index.last_scanned == 3
+        assert index.find_alp_window(ResourceRequest(1, 10.0)) is not None
+        assert index.last_scanned == 1

@@ -12,6 +12,8 @@ the same logical trace.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.core import Criterion, SlotSearchAlgorithm, find_alternatives
@@ -41,12 +43,9 @@ def _restore_telemetry():
     install(previous)
 
 
-def traced_run(tmp_path, workers: int, search_shards: int = 1):
+def traced_run(tmp_path, workers: int):
     config = ExperimentConfig(
-        objective=Criterion.TIME,
-        iterations=ITERATIONS,
-        seed=SEED,
-        search_shards=search_shards,
+        objective=Criterion.TIME, iterations=ITERATIONS, seed=SEED
     )
     tmp_path.mkdir(parents=True, exist_ok=True)
     base = tmp_path / f"run{workers}.jsonl"
@@ -58,12 +57,23 @@ def traced_run(tmp_path, workers: int, search_shards: int = 1):
     return result, merge_trace_files(shards)
 
 
+def _spans_named(spans, name):
+    for span in spans:
+        if span.name == name:
+            yield span
+        yield from _spans_named(span.children, name)
+
+
 class TestCrossWorkerInvariance:
     def test_workers_4_canonically_identical_to_serial(self, tmp_path):
         serial_result, serial_trace = traced_run(tmp_path / "serial", 1)
         parallel_result, parallel_trace = traced_run(tmp_path / "parallel", 4)
         assert parallel_result == serial_result
         assert canonical_trace(parallel_trace) == canonical_trace(serial_trace)
+        # Traced runs take the production (indexed) phase-1 path.
+        searches = list(_spans_named(serial_trace.spans, "phase1.find_alternatives"))
+        assert searches
+        assert all(span.attributes.get("indexed") for span in searches)
 
     def test_shards_share_the_seed_derived_trace_id(self, tmp_path):
         _, merged = traced_run(tmp_path, 3)
@@ -92,6 +102,58 @@ class TestCrossWorkerInvariance:
     def test_shard_path_naming(self):
         assert trace_shard_path("out/trace.jsonl", 3).name == "trace.w3.jsonl"
         assert trace_shard_path("out/trace", 0).name == "trace.w0.jsonl"
+
+
+def _traced_find(path: str, algorithm: SlotSearchAlgorithm) -> None:
+    """Trace one default find under the seed-derived context to ``path``."""
+    previous = get_telemetry()
+    configure(context=TraceContext.derive(SEED))
+    try:
+        slots = make_random_slot_list(7, count=40)
+        find_alternatives(slots, make_random_batch(7), algorithm)
+        write_trace(path)
+    finally:
+        install(previous)
+
+
+class TestShardedSearchTraceInvariance:
+    """Phase-1 searches traced inside worker shards.
+
+    Every search of a multi-worker series runs in a pool process with a
+    private telemetry context; what it records must not depend on the
+    process it ran in, and tracing must not change what it finds.
+    """
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP],
+        ids=["alp", "amp"],
+    )
+    def test_sharded_find_canonically_identical_to_serial(self, tmp_path, algorithm):
+        serial = tmp_path / "serial.jsonl"
+        _traced_find(str(serial), algorithm)
+        sharded = tmp_path / "sharded.jsonl"
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            pool.submit(_traced_find, str(sharded), algorithm).result()
+        serial_trace = read_trace(str(serial))
+        assert list(_spans_named(serial_trace.spans, "phase1.find_alternatives"))
+        assert canonical_trace(read_trace(str(sharded))) == canonical_trace(serial_trace)
+
+    def test_sharded_experiment_matches_unsharded_run(self, tmp_path):
+        """A traced 2-worker series produces the same series output as an
+        untraced serial run, under the seed-derived trace id, with its
+        merged decision stream (iteration, seq)-ordered."""
+        config = ExperimentConfig(
+            objective=Criterion.TIME, iterations=ITERATIONS, seed=SEED
+        )
+        plain_result = ParallelRunner(config, workers=1).run()
+        sharded_result, sharded_trace = traced_run(tmp_path / "sharded", 2)
+        assert sharded_result == plain_result
+        assert sharded_trace.meta.get("trace_id") == TraceContext.derive(SEED).trace_id
+        keys = [
+            (record["iteration"], record["seq"]) for record in sharded_trace.decisions
+        ]
+        assert keys and keys == sorted(keys)
 
 
 class TestCheckpointTracePropagation:
@@ -136,84 +198,3 @@ class TestCheckpointTracePropagation:
 
         snapshot = load_snapshot(durable.snapshot_path)
         assert "trace_context" not in snapshot
-
-
-class TestShardedSearchTraceInvariance:
-    """Partition-parallel search: same canonical trace as the serial path.
-
-    The sharded instrumented search emits exactly the serial indexed
-    surface (span attributes, counters, decision records — including the
-    summed per-shard ``hint_skips``) plus per-shard ``phase.seconds``
-    timings, which :func:`canonical_trace` strips along with every other
-    perf-counter metric.  So the canonical forms must compare equal for
-    any shard count and for either worker mode.
-    """
-
-    def _canonical_search_trace(
-        self, tmp_path, name, algorithm, *, shards=None, processes=None
-    ):
-        configure(context=TraceContext.derive(SEED))
-        slots = make_random_slot_list(7, count=40)
-        batch = make_random_batch(7)
-        find_alternatives(
-            slots,
-            batch,
-            algorithm,
-            use_index=True,
-            shards=shards,
-            shard_processes=processes,
-        )
-        path = tmp_path / f"{name}.jsonl"
-        write_trace(str(path))
-        disable()
-        return canonical_trace(read_trace(str(path)))
-
-    @pytest.mark.parametrize(
-        "algorithm",
-        [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP],
-        ids=["alp", "amp"],
-    )
-    def test_sharded_find_canonically_identical_to_serial(self, tmp_path, algorithm):
-        serial = self._canonical_search_trace(tmp_path, "serial", algorithm)
-        for shards in (2, 4):
-            sharded = self._canonical_search_trace(
-                tmp_path, f"sharded{shards}", algorithm, shards=shards
-            )
-            assert sharded == serial, f"canonical divergence at shards={shards}"
-
-    def test_process_mode_trace_identical_to_serial(self, tmp_path):
-        serial = self._canonical_search_trace(
-            tmp_path, "serial", SlotSearchAlgorithm.AMP
-        )
-        sharded = self._canonical_search_trace(
-            tmp_path, "procs", SlotSearchAlgorithm.AMP, shards=3, processes=True
-        )
-        assert sharded == serial
-
-    def test_sharded_experiment_matches_unsharded_run(self, tmp_path):
-        """End to end through the parallel engine: a traced experiment
-        with ``search_shards=2`` produces the same series output as the
-        unsharded run, and its merged decision stream stays
-        (iteration, seq)-ordered under the seed-derived trace id.
-
-        The merged *traces* are not compared here: a shards=1 traced run
-        instruments the naive reference pipeline (a deliberately
-        different surface — no ``indexed`` attribute, per-slot scan
-        counters), while the canonical equality of the sharded trace
-        against the serial *indexed* trace is pinned by the
-        find-level tests above.
-        """
-        plain_result, _ = traced_run(tmp_path / "plain", 2)
-        sharded_result, sharded_trace = traced_run(
-            tmp_path / "sharded", 2, search_shards=2
-        )
-        # Everything but the config (which records the shard count).
-        assert sharded_result.samples == plain_result.samples
-        assert sharded_result.attempted == plain_result.attempted
-        assert sharded_result.dropped_uncovered == plain_result.dropped_uncovered
-        assert sharded_result.dropped_infeasible == plain_result.dropped_infeasible
-        assert sharded_trace.meta.get("trace_id") == TraceContext.derive(SEED).trace_id
-        keys = [
-            (record["iteration"], record["seq"]) for record in sharded_trace.decisions
-        ]
-        assert keys and keys == sorted(keys)
