@@ -13,7 +13,6 @@ execution time.
 from __future__ import annotations
 
 import random
-import time
 
 from repro.core import (
     BatchScheduler,
@@ -26,7 +25,7 @@ from repro.core import (
 from repro.grid import ClusterSpec, LocalJobFlow, Metascheduler, VOEnvironment
 from repro.sim import JobGenerator, table
 
-from benchmarks.conftest import record_baseline, report
+from benchmarks.conftest import report
 
 SEED = 31
 UNTIL = 2400.0
@@ -64,14 +63,10 @@ def _run(algorithm: SlotSearchAlgorithm):
 
 
 def test_metascheduler_end_to_end(benchmark, capsys):
-    started = time.perf_counter()
     amp_meta = benchmark.pedantic(
         lambda: _run(SlotSearchAlgorithm.AMP), rounds=1, iterations=1
     )
-    amp_elapsed = time.perf_counter() - started
-    started = time.perf_counter()
     alp_meta = _run(SlotSearchAlgorithm.ALP)
-    alp_elapsed = time.perf_counter() - started
 
     rows = []
     summaries = {}
@@ -123,19 +118,4 @@ def test_metascheduler_end_to_end(benchmark, capsys):
         f"AMP exec {amp_mean:.1f} vs ALP exec {alp_mean:.1f}",
     )
 
-    record_baseline(
-        "metascheduler",
-        "end_to_end",
-        {
-            "jobs": JOB_COUNT,
-            "until": UNTIL,
-            "amp_wall_seconds": round(amp_elapsed, 3),
-            "alp_wall_seconds": round(alp_elapsed, 3),
-            "amp_placed": amp_summary.scheduled,
-            "alp_placed": alp_summary.scheduled,
-            "paired_jobs": len(common),
-            "amp_paired_exec": round(amp_mean, 2),
-            "alp_paired_exec": round(alp_mean, 2),
-        },
-    )
     assert amp_mean <= alp_mean * 1.05

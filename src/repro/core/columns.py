@@ -117,9 +117,9 @@ class ColumnStore:
     """Parallel primitive columns of a sorted slot-row table.
 
     Rows are kept sorted by ``(start, end, uid)`` — the scan order of
-    every finder.  The store holds no ``Slot`` objects; callers that
-    need them (:class:`~repro.core.index.SlotIndex`) keep a parallel
-    list aligned with the row positions this class reports.
+    every finder.  The store holds no ``Slot`` objects;
+    :class:`~repro.core.index.SlotIndex` rebuilds value-equal slots
+    from rows and its ``uid → Resource`` map where it needs them.
     """
 
     __slots__ = ("starts", "ends", "uids", "perfs", "prices", "_uid_counts")
@@ -156,14 +156,6 @@ class ColumnStore:
     def key_at(self, position: int) -> tuple[float, float, int]:
         """The sort key ``(start, end, uid)`` of the row at ``position``."""
         return (self.starts[position], self.ends[position], self.uids[position])
-
-    def rows(self) -> list[Row]:
-        """All rows in scan order (materialised tuples)."""
-        return [self.row_at(position) for position in range(len(self.starts))]
-
-    def uid_present(self, uid: int) -> bool:
-        """Whether any row of resource ``uid`` is in the table."""
-        return uid in self._uid_counts
 
     # ------------------------------------------------------------------ #
     # Ordered mutation                                                   #
@@ -275,16 +267,13 @@ class ColumnStore:
         min_performance: float,
         max_price: float | None,
         min_end: float = float("-inf"),
-    ) -> tuple[list[SurvivorRow], list[int]]:
-        """Rows passing the static predicates, with their positions.
+    ) -> list[SurvivorRow]:
+        """Rows passing the static predicates, as :data:`SurvivorRow`
+        tuples in scan order.
 
-        Returns ``(entries, positions)`` where ``entries`` are
-        :data:`SurvivorRow` tuples in scan order and ``positions`` the
-        corresponding row indices (so a caller keeping a parallel
-        ``Slot`` list can attach the objects).  With numpy present the
-        mask is evaluated vectorized over zero-copy buffer views of the
-        columns; the result is bit-identical to mapping
-        :func:`static_survivor` over every row.
+        With numpy present the mask is evaluated vectorized over
+        zero-copy buffer views of the columns; the result is
+        bit-identical to mapping :func:`static_survivor` over every row.
 
         ``min_end`` additionally drops rows with ``end <= min_end`` —
         an exact comparison, so the result equals the unfiltered
@@ -305,8 +294,7 @@ class ColumnStore:
             if min_end != float("-inf"):
                 mask &= ends > min_end
             chosen = _np.flatnonzero(mask)
-            positions: list[int] = chosen.tolist()
-            entries: list[SurvivorRow] = list(
+            return list(
                 zip(
                     starts[chosen].tolist(),
                     ends[chosen].tolist(),
@@ -317,9 +305,7 @@ class ColumnStore:
                     expiry_bound(ends, runtimes)[chosen].tolist(),
                 )
             )
-            return entries, positions
-        scalar_entries: list[SurvivorRow] = []
-        scalar_positions: list[int] = []
+        entries: list[SurvivorRow] = []
         for position in range(len(self.starts)):
             if self.ends[position] <= min_end:
                 continue
@@ -327,9 +313,8 @@ class ColumnStore:
                 self.row_at(position), volume, min_performance, max_price
             )
             if entry is not None:
-                scalar_entries.append(entry)
-                scalar_positions.append(position)
-        return scalar_entries, scalar_positions
+                entries.append(entry)
+        return entries
 
     def count_end_at_or_before(self, limit: float) -> int:
         """Rows whose ``end <= limit`` — the tier-1 start-hint prune count."""

@@ -323,7 +323,7 @@ class SlotIndex:
             # dropped vectorized and ``hint`` becomes the floor — the
             # same state compaction would eventually reach, minus the
             # churn of re-attaching and re-skipping them.
-            entries, _positions = self._columns.survivors(
+            entries = self._columns.survivors(
                 volume, min_performance, max_price, hint
             )
             if memo is None:

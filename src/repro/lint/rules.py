@@ -392,10 +392,7 @@ class GuardedTelemetryRule(Rule):
       from one, e.g. ``record_decisions = decisions.enabled``) or calls
       ``telemetry_enabled()``;
     * a function whose *first* statement is such a test ending in
-      ``return``/``raise`` (the early-return guard idiom);
-    * a function whose name marks it as the instrumented copy of a
-      dual-loop pair (``*_instrumented``) — its call sites pay the one
-      boolean check.
+      ``return``/``raise`` (the early-return guard idiom).
 
     ``span()`` is deliberately exempt: it returns the shared no-op
     singleton and is used at per-batch/per-iteration granularity, never
@@ -427,7 +424,6 @@ class GuardedTelemetryRule(Rule):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = (
                 guarded
-                or "instrumented" in node.name
                 or self._has_early_return_guard(module, node, guard_names)
             )
             for child in node.body:
@@ -451,8 +447,7 @@ class GuardedTelemetryRule(Rule):
                     module,
                     node,
                     f"unguarded telemetry emit {name}() in a hot path — wrap "
-                    "it in `if telemetry.enabled:` (or move it into an "
-                    "*_instrumented dual-loop copy)",
+                    "it in `if telemetry.enabled:`",
                 )
         for child in ast.iter_child_nodes(node):
             yield from self._visit(module, child, guarded, guard_names)

@@ -31,18 +31,20 @@ def random_rows(seed: int, count: int = 60) -> list[Row]:
     return rows
 
 
+def all_rows(store: ColumnStore) -> list[Row]:
+    """All rows of ``store`` in scan order."""
+    return [store.row_at(position) for position in range(len(store))]
+
+
 def scalar_survivors(
     store: ColumnStore, volume: float, min_performance: float, max_price: float | None
-) -> tuple[list, list[int]]:
-    entries, positions = [], []
-    for position in range(len(store)):
-        entry = static_survivor(
-            store.row_at(position), volume, min_performance, max_price
-        )
+) -> list:
+    entries = []
+    for row in all_rows(store):
+        entry = static_survivor(row, volume, min_performance, max_price)
         if entry is not None:
             entries.append(entry)
-            positions.append(position)
-    return entries, positions
+    return entries
 
 
 class TestMaskKernelParity:
@@ -64,8 +66,8 @@ class TestMaskKernelParity:
         # Volume 0 and an unbounded performance floor: every row must
         # survive with runtime exactly 0.0.
         store = ColumnStore(random_rows(3))
-        entries, positions = store.survivors(0.0, float("-inf"), None)
-        assert positions == list(range(len(store)))
+        entries = store.survivors(0.0, float("-inf"), None)
+        assert len(entries) == len(store)
         assert all(entry[5] == 0.0 for entry in entries)
 
     def test_scalar_fallback_without_numpy(self, monkeypatch):
@@ -82,10 +84,10 @@ class TestStoreMutation:
     def test_rows_sorted_on_build_and_after_inserts(self):
         rows = random_rows(11)
         store = ColumnStore(rows)
-        assert store.rows() == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
+        assert all_rows(store) == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
         store.insert_row((-5.0, 1.0, 99, 2.0, 1.0))
         store.insert_row((1000.0, 1001.0, 98, 2.0, 1.0))
-        listed = store.rows()
+        listed = all_rows(store)
         assert listed == sorted(listed, key=lambda r: (r[0], r[1], r[2]))
         assert len(store) == len(rows) + 2
 
@@ -93,13 +95,12 @@ class TestStoreMutation:
         store = ColumnStore([(0.0, 10.0, 1, 1.0, 1.0), (5.0, 15.0, 2, 1.0, 1.0)])
         position = store.bisect_key((5.0, 15.0, 2))
         assert store.delete_at(position) == (5.0, 15.0, 2, 1.0, 1.0)
-        assert not store.uid_present(2)
-        assert store.uid_present(1)
+        assert store.find_same_uid_overlap(5.0, 15.0, 2) is None
+        assert store.find_same_uid_overlap(5.0, 15.0, 1) == (0.0, 10.0)
 
     def test_bisect_key_matches_list_semantics(self):
         store = ColumnStore(random_rows(5))
-        rows = store.rows()
-        for row in rows:
+        for row in all_rows(store):
             key = (row[0], row[1], row[2])
             assert store.key_at(store.bisect_key(key)) == key
         assert store.bisect_key((float("inf"), 0.0, 0)) == len(store)
@@ -109,7 +110,7 @@ class TestSameUidOverlap:
     def overlap_exists(self, store: ColumnStore, start, end, uid) -> bool:
         return any(
             row[2] == uid and row[0] < end and row[1] > start
-            for row in store.rows()
+            for row in all_rows(store)
         )
 
     def test_absent_uid_short_circuits(self):
@@ -155,7 +156,7 @@ class TestSameUidOverlap:
                 witness_start, witness_end = found
                 assert witness_start < end and witness_end > start
                 assert (witness_start, witness_end) in {
-                    (row[0], row[1]) for row in store.rows() if row[2] == uid
+                    (row[0], row[1]) for row in all_rows(store) if row[2] == uid
                 }
             else:
                 assert found is None

@@ -25,6 +25,7 @@ from repro.sim import (
     summarize,
     summary_table,
 )
+from repro.sim import experiment
 from repro.sim.figures import PAPER_REFERENCE
 from repro.sim.generators import JobGenerator, SlotGenerator
 
@@ -153,6 +154,24 @@ class TestParallelRunner:
         serial = ParallelRunner(self.CONFIG, workers=1).run()
         parallel = ParallelRunner(self.CONFIG, workers=4).run()
         assert _result_document(parallel) == _result_document(serial)
+
+    def test_naive_scan_series_byte_identical_to_indexed(self, monkeypatch):
+        """Whole-series identity of the indexed search with its oracle:
+        rerunning the series with every phase-1 search forced onto the
+        naive ALP/AMP scan (``use_index=False``) changes no sample, drop
+        counter or per-job outcome."""
+        indexed = ParallelRunner(self.CONFIG, workers=1).run()
+        search = experiment.find_alternatives
+        naive_calls = []
+
+        def naive(*args, **kwargs):
+            naive_calls.append(args[2])
+            return search(*args, use_index=False, **kwargs)
+
+        monkeypatch.setattr(experiment, "find_alternatives", naive)
+        naive_result = ParallelRunner(self.CONFIG, workers=1).run()
+        assert set(naive_calls) == set(SlotSearchAlgorithm)
+        assert _result_document(naive_result) == _result_document(indexed)
 
     def test_merge_results_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -287,6 +287,11 @@ class TestGuardedTelemetryRule:
                 "def record(telemetry, job):\n"
                 "    telemetry.decisions.emit('dp.selected', job=job)\n"
             ),
+            # a function name grants no exemption
+            (
+                "def _scan_instrumented(telemetry, slots):\n"
+                "    telemetry.count('search.slots_scanned', len(slots))\n"
+            ),
         ],
     )
     def test_flags_unguarded_emit(self, snippet):
@@ -322,11 +327,6 @@ class TestGuardedTelemetryRule:
                 "    if not telemetry.enabled:\n"
                 "        return\n"
                 "    telemetry.count('search.batches', n)\n"
-            ),
-            # the instrumented copy of a dual-loop pair
-            (
-                "def _scan_instrumented(telemetry, slots):\n"
-                "    telemetry.count('search.slots_scanned', len(slots))\n"
             ),
             # telemetry_enabled() as the guard test
             (
