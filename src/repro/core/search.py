@@ -34,7 +34,6 @@ as observers guarded by ``enabled``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Mapping
 
@@ -79,7 +78,6 @@ class SlotSearchAlgorithm(enum.Enum):
         )
 
 
-@dataclass
 class SearchResult:
     """Outcome of one alternative-search phase for a whole batch.
 
@@ -87,13 +85,31 @@ class SearchResult:
         alternatives: For every job of the batch, its alternative windows
             in discovery order (possibly empty).
         remaining_slots: The vacant-slot list after all subtractions.
+            The indexed loop hands over its :class:`SlotIndex`, and the
+            list is materialised from it on first access only: the
+            scheduling cycle itself never reads it.
         passes: Number of complete passes over the batch, including the
             final empty pass that stopped the search.
     """
 
-    alternatives: dict[Job, list[Window]]
-    remaining_slots: SlotList
-    passes: int
+    __slots__ = ("alternatives", "passes", "_remaining")
+
+    def __init__(
+        self,
+        alternatives: dict[Job, list[Window]],
+        remaining_slots: SlotList | SlotIndex,
+        passes: int,
+    ) -> None:
+        self.alternatives = alternatives
+        self.passes = passes
+        self._remaining = remaining_slots
+
+    @property
+    def remaining_slots(self) -> SlotList:
+        """The vacant-slot list after all subtractions (cached)."""
+        if isinstance(self._remaining, SlotIndex):
+            self._remaining = self._remaining.slot_list()
+        return self._remaining
 
     @property
     def total_alternatives(self) -> int:
@@ -385,7 +401,7 @@ def _find_alternatives_indexed(
             if not found_any:
                 break
         result = SearchResult(
-            alternatives=alternatives, remaining_slots=index.slot_list(), passes=passes
+            alternatives=alternatives, remaining_slots=index, passes=passes
         )
         if enabled:
             _flush_batch_metrics(telemetry, result, algo_label)

@@ -31,6 +31,7 @@ from repro.grid.accounting import (
 from repro.grid.arrivals import BurstyArrivals, PoissonArrivals
 from repro.grid.checkpoint import (
     DurableMetascheduler,
+    SnapshotMemo,
     load_snapshot,
     restore_metascheduler,
     save_snapshot,
@@ -101,6 +102,7 @@ __all__ = [
     "Metascheduler",
     "IterationReport",
     "DurableMetascheduler",
+    "SnapshotMemo",
     "snapshot_metascheduler",
     "restore_metascheduler",
     "save_snapshot",

@@ -26,6 +26,14 @@ Commands are journaled *after* they execute successfully, so the
 journal is a redo log of committed operations: a crash mid-command
 restores the consistent state just before it.
 
+Snapshots are rewritten in full, yet most of what they describe never
+changes: committed windows, busy intervals, iteration reports and jobs
+are immutable.  A :class:`SnapshotMemo` (one per durable run) keeps the
+payload and canonical JSON text of each such object from one snapshot
+to the next, keyed by identity, so a snapshot only encodes the objects
+created since the previous one.  The file bytes are exactly those of
+``json.dumps(data, separators=(",", ":"), sort_keys=True)``.
+
 Typical use::
 
     meta = Metascheduler(environment, period=60.0)
@@ -42,9 +50,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from time import perf_counter
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from repro.core import job as job_module
 from repro.core import resource as resource_module
@@ -64,6 +73,7 @@ from repro.grid.cluster import Cluster
 from repro.grid.environment import VOEnvironment
 from repro.grid.metascheduler import IterationReport, Metascheduler
 from repro.grid.node import ComputeNode
+from repro.grid.occupancy import BusyInterval
 from repro.grid.resilience import RecoveryManager, RetryPolicy
 from repro.grid.trace import JobState
 from repro.obs.context import TraceContext
@@ -72,6 +82,7 @@ from repro.obs.telemetry import get_telemetry
 __all__ = [
     "CHECKPOINT_FORMAT",
     "DurableMetascheduler",
+    "SnapshotMemo",
     "load_snapshot",
     "restore_metascheduler",
     "save_snapshot",
@@ -92,11 +103,114 @@ JOURNAL_NAME = "journal.jsonl"
 # --------------------------------------------------------------------- #
 
 
-def _encode_window(encoder: _Encoder, window: Window) -> dict[str, Any]:
-    return encoder.window(window)
+class _MemoEntry:
+    __slots__ = ("obj", "payload", "text")
+
+    def __init__(self, obj: object, payload: Any) -> None:
+        # The strong reference to ``obj`` keeps its id from being reused
+        # while the entry is cached.
+        self.obj = obj
+        self.payload = payload
+        self.text: str | None = None
 
 
-def _encode_environment(encoder: _Encoder, environment: VOEnvironment) -> dict[str, Any]:
+class SnapshotMemo:
+    """Payloads and canonical JSON of the immutable objects a run snapshots.
+
+    Maps ``id(obj)`` to the object's snapshot payload and, once written,
+    its canonical JSON text.  Only frozen value objects go in —
+    :class:`Window`, :class:`~repro.grid.occupancy.BusyInterval`,
+    :class:`IterationReport` and :class:`Job` — so a cached payload can
+    never go stale; an object that changes is a new object.  Each
+    :func:`snapshot_metascheduler` call keeps exactly the entries it
+    used, so the memo holds the current state and nothing older.
+    """
+
+    __slots__ = ("_entries", "_previous", "_texts")
+
+    def __init__(self) -> None:
+        self._entries: dict[int, _MemoEntry] = {}
+        self._previous: dict[int, _MemoEntry] = {}
+        #: ``id(payload)`` -> entry, for splicing the text at save time.
+        self._texts: dict[int, _MemoEntry] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, obj: object) -> bool:
+        entry = self._entries.get(id(obj))
+        return entry is not None and entry.obj is obj
+
+    def _begin(self) -> None:
+        self._previous, self._entries, self._texts = self._entries, {}, {}
+
+    def _end(self) -> None:
+        self._previous = {}
+
+    def payloads(self, objects: Iterable[Any], encode: Callable[[Any], Any]) -> list[Any]:
+        """The payload of every object, encoding only those not cached."""
+        entries, previous, texts = self._entries, self._previous, self._texts
+        payloads = []
+        for obj in objects:
+            key = id(obj)
+            entry = entries.get(key)
+            if entry is None:
+                entry = previous.get(key)
+                if entry is None:
+                    entry = _MemoEntry(obj, encode(obj))
+                entries[key] = entry
+                texts[id(entry.payload)] = entry
+            payloads.append(entry.payload)
+        return payloads
+
+    def payload(self, obj: Any, encode: Callable[[Any], Any]) -> Any:
+        """The payload of one object; see :meth:`payloads`."""
+        return self.payloads((obj,), encode)[0]
+
+    def texts(self, payloads: Iterable[Any]) -> list[str]:
+        """Canonical JSON of each payload; ``json.dumps`` for foreign ones."""
+        entries = self._texts
+        texts = []
+        for payload in payloads:
+            entry = entries.get(id(payload))
+            if entry is None or entry.payload is not payload:
+                texts.append(_canonical(payload))
+                continue
+            if entry.text is None:
+                entry.text = _canonical(payload)
+            texts.append(entry.text)
+        return texts
+
+
+#: ``_canonical(value)`` is ``json.dumps(value, separators=(",", ":"),
+#: sort_keys=True)``; one encoder serves every call.
+_canonical = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+def _encode_window(encoder: _Encoder, memo: SnapshotMemo, window: Window) -> dict[str, Any]:
+    payload = memo.payload(window, encoder.window)
+    # Re-intern the window's resources in the order encoding them would,
+    # so the resource table comes out the same on a memo hit.
+    for allocation in window.allocations:
+        encoder.resource(allocation.source.resource)
+    return payload
+
+
+def _encode_interval(interval: BusyInterval) -> list[Any]:
+    return [
+        _finite(interval.start, "interval start"),
+        _finite(interval.end, "interval end"),
+        interval.label,
+    ]
+
+
+def _encode_report(report: IterationReport) -> dict[str, Any]:
+    return report.__dict__.copy()
+
+
+def _encode_environment(
+    encoder: _Encoder, memo: SnapshotMemo, environment: VOEnvironment
+) -> dict[str, Any]:
     clusters = []
     for cluster in environment.clusters:
         nodes = []
@@ -104,14 +218,7 @@ def _encode_environment(encoder: _Encoder, environment: VOEnvironment) -> dict[s
             nodes.append(
                 {
                     "resource": encoder.resource(node.resource),
-                    "intervals": [
-                        [
-                            _finite(interval.start, "interval start"),
-                            _finite(interval.end, "interval end"),
-                            interval.label,
-                        ]
-                        for interval in node.schedule
-                    ],
+                    "intervals": memo.payloads(node.schedule, _encode_interval),
                 }
             )
         clusters.append({"name": cluster.name, "nodes": nodes})
@@ -150,7 +257,9 @@ def _encode_pricing(pricing: DemandAdjustedPricing | None) -> dict[str, Any] | N
     }
 
 
-def _encode_recovery(encoder: _Encoder, recovery: RecoveryManager | None) -> dict[str, Any] | None:
+def _encode_recovery(
+    encoder: _Encoder, memo: SnapshotMemo, recovery: RecoveryManager | None
+) -> dict[str, Any] | None:
     if recovery is None:
         return None
     policy = recovery.policy
@@ -163,13 +272,15 @@ def _encode_recovery(encoder: _Encoder, recovery: RecoveryManager | None) -> dic
         },
         "revocations": {str(uid): count for uid, count in recovery._revocations.items()},
         "retained": {
-            str(uid): [_encode_window(encoder, window) for window in windows]
+            str(uid): [_encode_window(encoder, memo, window) for window in windows]
             for uid, windows in recovery._retained.items()
         },
     }
 
 
-def snapshot_metascheduler(meta: Metascheduler) -> dict[str, Any]:
+def snapshot_metascheduler(
+    meta: Metascheduler, *, memo: SnapshotMemo | None = None
+) -> dict[str, Any]:
     """Encode the full state of a metascheduler run as one JSON document.
 
     Everything the scheduling cycle depends on is captured: the
@@ -182,27 +293,41 @@ def snapshot_metascheduler(meta: Metascheduler) -> dict[str, Any]:
 
     The recovery *audit log* (``RecoveryManager.events``) is
     observability, not scheduling state, and is not persisted.
+
+    With a ``memo``, payloads of immutable objects it cached for the
+    previous snapshot are reused (shared, not copied) and the memo is
+    left holding exactly this snapshot's objects; pass the same memo to
+    :func:`save_snapshot` to reuse their JSON text too.
     """
+    memo = memo if memo is not None else SnapshotMemo()
+    memo._begin()
+    try:
+        return _snapshot(meta, memo)
+    finally:
+        memo._end()
+
+
+def _snapshot(meta: Metascheduler, memo: SnapshotMemo) -> dict[str, Any]:
     encoder = _Encoder()
-    environment = _encode_environment(encoder, meta.environment)
+    environment = _encode_environment(encoder, memo, meta.environment)
     trace = []
     for record in meta.trace:
         trace.append(
             {
-                "job": encoder.job(record.job),
+                "job": memo.payload(record.job, encoder.job),
                 "submit_time": record.submit_time,
                 "state": record.state.value,
                 "window": None
                 if record.window is None
-                else _encode_window(encoder, record.window),
+                else _encode_window(encoder, memo, record.window),
                 "scheduled_iteration": record.scheduled_iteration,
                 "postponements": record.postponements,
                 "resubmissions": record.resubmissions,
                 "recoveries": record.recoveries,
             }
         )
-    reports = [report.__dict__.copy() for report in meta.reports]
-    recovery = _encode_recovery(encoder, meta.recovery)
+    reports = memo.payloads(meta.reports, _encode_report)
+    recovery = _encode_recovery(encoder, memo, meta.recovery)
     return {
         "format": CHECKPOINT_FORMAT,
         "environment": environment,
@@ -465,8 +590,59 @@ def restore_metascheduler(data: dict[str, Any]) -> Metascheduler:
 # --------------------------------------------------------------------- #
 
 
+#: Marks where :class:`SnapshotMemo` payloads sit in a snapshot document.
+_MEMOIZED = object()
+#: Any key of a mapping keyed by job uid.
+_ANY_KEY = "*"
+#: The only paths :func:`save_snapshot` descends to splice memoized text:
+#: a dict maps keys to sub-paths, a one-item list applies its item to
+#: every element.  Everything else is encoded by ``json.dumps``.
+_MEMOIZED_PATHS: dict[str, Any] = {
+    "environment": {"clusters": [{"nodes": [{"intervals": [_MEMOIZED]}]}]},
+    "trace": [{"job": _MEMOIZED, "window": _MEMOIZED}],
+    "reports": [_MEMOIZED],
+    "metascheduler": {"recovery": {"retained": {_ANY_KEY: [_MEMOIZED]}}},
+}
+
+
+def _splice(value: Any, path: Any, memo: SnapshotMemo) -> str:
+    """``_canonical(value)``, reusing the memo's text along ``path``."""
+    if path is _MEMOIZED:
+        return memo.texts((value,))[0]
+    if type(path) is list and type(value) is list:
+        if path[0] is _MEMOIZED:
+            return "[" + ",".join(memo.texts(value)) + "]"
+        return "[" + ",".join([_splice(item, path[0], memo) for item in value]) + "]"
+    if (
+        type(path) is dict
+        and type(value) is dict
+        and all(type(key) is str for key in value)
+    ):
+        # Keys off the path are encoded together, one json.dumps per run
+        # of consecutive (sorted) keys, with the run's braces stripped.
+        parts = []
+        run: dict[str, Any] = {}
+        for key in sorted(value):
+            sub = path.get(key, path.get(_ANY_KEY))
+            if sub is None:
+                run[key] = value[key]
+                continue
+            if run:
+                parts.append(_canonical(run)[1:-1])
+                run = {}
+            parts.append(encode_basestring_ascii(key) + ":" + _splice(value[key], sub, memo))
+        if run:
+            parts.append(_canonical(run)[1:-1])
+        return "{" + ",".join(parts) + "}"
+    return _canonical(value)
+
+
 def save_snapshot(
-    data: dict[str, Any], path: str | Path, *, fs: FileSystem | None = None
+    data: dict[str, Any],
+    path: str | Path,
+    *,
+    fs: FileSystem | None = None,
+    memo: SnapshotMemo | None = None,
 ) -> Path:
     """Write a snapshot document atomically: tmp + fsync + rename.
 
@@ -476,6 +652,12 @@ def save_snapshot(
     through ``fs`` (the real filesystem by default) so the chaos engine
     can fail the write, the fsync, or the publishing rename.
 
+    The file holds ``json.dumps(data, separators=(",", ":"),
+    sort_keys=True)`` and a newline.  With the ``memo`` that
+    :func:`snapshot_metascheduler` filled for ``data``, the text of its
+    memoized payloads is spliced in rather than encoded again; the bytes
+    are the same.
+
     Raises:
         PersistenceError: When the snapshot cannot be written.
     """
@@ -484,11 +666,10 @@ def save_snapshot(
     tmp = path.with_name(path.name + ".tmp")
     telemetry = get_telemetry()
     began = perf_counter() if telemetry.enabled else 0.0
+    text = _canonical(data) if memo is None else _splice(data, _MEMOIZED_PATHS, memo)
     try:
         with fs.open(tmp, "w") as stream:
-            fs.write(
-                stream, json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n"
-            )
+            fs.write(stream, text + "\n")
             fs.fsync(stream)
         fs.replace(tmp, path)
         fs.fsync_directory(path.parent)
@@ -576,6 +757,7 @@ class DurableMetascheduler:
         self.snapshot_every = snapshot_every
         self._since_snapshot = 0
         self._fs = fs if fs is not None else REAL_FS
+        self._snapshot_memo = SnapshotMemo()
         self._journal = JournalWriter(
             self.directory / JOURNAL_NAME,
             fsync=fsync,
@@ -658,7 +840,7 @@ class DurableMetascheduler:
 
     def snapshot(self) -> Path:
         """Write an atomic snapshot now; resets the journal watermark."""
-        data = snapshot_metascheduler(self.meta)
+        data = snapshot_metascheduler(self.meta, memo=self._snapshot_memo)
         data["journal_seq"] = self._journal.next_seq
         telemetry = get_telemetry()
         if telemetry.enabled and telemetry.context is not None:
@@ -666,14 +848,18 @@ class DurableMetascheduler:
             # recorded before and after the crash carry the same trace id
             # and merge into one tree.
             data["trace_context"] = telemetry.context.to_dict()
-        path = save_snapshot(data, self.snapshot_path, fs=self._fs)
+        path = save_snapshot(
+            data, self.snapshot_path, fs=self._fs, memo=self._snapshot_memo
+        )
         self._since_snapshot = 0
         return path
 
     def close(self) -> None:
-        """Snapshot once more and close the journal."""
-        self.snapshot()
-        self._journal.close()
+        """Snapshot once more and close the journal, even if that snapshot fails."""
+        try:
+            self.snapshot()
+        finally:
+            self._journal.close()
 
     def __enter__(self) -> "DurableMetascheduler":
         return self

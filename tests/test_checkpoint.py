@@ -7,18 +7,22 @@ import os
 
 import pytest
 
-from repro.core import Job, Resource, ResourceRequest
+from repro.core import Job, Resource, ResourceRequest, Slot, TaskAllocation, Window
 from repro.core.errors import CheckpointMismatchError, PersistenceError
+from repro.core.fsio import FileSystem
 from repro.grid import (
     Cluster,
     ComputeNode,
+    JobState,
     Metascheduler,
     RetryPolicy,
     VOEnvironment,
 )
+from repro.grid import checkpoint
 from repro.grid.checkpoint import (
     CHECKPOINT_FORMAT,
     DurableMetascheduler,
+    SnapshotMemo,
     load_snapshot,
     restore_metascheduler,
     save_snapshot,
@@ -266,3 +270,217 @@ class TestDurableMetascheduler:
         snapshot = load_snapshot(tmp_path / "snapshot.json")
         assert restored.meta._iteration == 1
         assert snapshot["journal_seq"] >= 1
+
+    def test_close_closes_the_journal_when_the_final_snapshot_fails(self, tmp_path):
+        class FailingReplace(FileSystem):
+            fail = False
+
+            def replace(self, source, target):
+                if self.fail:
+                    raise OSError("simulated rename failure")
+                super().replace(source, target)
+
+        fs = FailingReplace()
+        durable = DurableMetascheduler(build_meta(), tmp_path, fsync=False, fs=fs)
+        durable.submit(make_job(0), at_time=0.0)
+        stream = durable._journal._stream
+        fs.fail = True
+        with pytest.raises(PersistenceError, match="cannot write snapshot"):
+            durable.close()
+        assert stream.closed
+        assert durable._journal._stream is None
+
+
+def build_recovery_run(directory, *, snapshot_every: int = 2) -> DurableMetascheduler:
+    """A durable run on two clusters with owner jobs and fault recovery."""
+    nodes = []
+    for position in range(8):
+        rank = position % 4
+        node = ComputeNode(
+            f"c{position // 4}n{rank}", performance=1.0 + 0.25 * rank, price=1.0 + 0.5 * rank
+        )
+        node.resource = Resource(
+            node.name, performance=node.performance, price=node.price, uid=900 + position
+        )
+        for start in range(0, 1200, 170 + 30 * position):
+            node.run_local_job(float(start), float(start + 40 + 5 * rank), f"owner{position}")
+        nodes.append(node)
+    environment = VOEnvironment([Cluster("c0", nodes[:4]), Cluster("c1", nodes[4:])])
+    meta = Metascheduler(
+        environment,
+        period=50.0,
+        horizon=500.0,
+        recovery=RetryPolicy(max_revocations=None),
+    )
+    durable = DurableMetascheduler(
+        meta, directory, snapshot_every=snapshot_every, fsync=False
+    )
+    for i in range(12):
+        durable.submit(make_job(i, nodes=1 + i % 3), at_time=i * 25.0)
+    return durable
+
+
+def run_ticks(durable: DurableMetascheduler, ticks: range) -> None:
+    """Run ``ticks``, revoking a future window with an outage every third tick."""
+    meta = durable.meta
+    nodes = {node.name: node for node in meta.environment.nodes()}
+    for tick in ticks:
+        now = tick * meta.period
+        if tick % 3 == 2:
+            victim = next(
+                (
+                    record
+                    for record in meta.trace
+                    if record.state is JobState.SCHEDULED and record.window.start > now
+                ),
+                None,
+            )
+            if victim is not None:
+                allocation = victim.window.allocations[0]
+                node = nodes[allocation.resource.name]
+                durable.inject_outage(node, allocation.start, allocation.start + 10.0)
+        durable.run_iteration(now)
+
+
+def live_objects(meta: Metascheduler) -> dict[int, object]:
+    """Every immutable object a snapshot of ``meta`` encodes, by id."""
+    objects: list[object] = [
+        interval for node in meta.environment.nodes() for interval in node.schedule
+    ]
+    for record in meta.trace:
+        objects.append(record.job)
+        if record.window is not None:
+            objects.append(record.window)
+    objects.extend(meta.reports)
+    for windows in meta.recovery._retained.values():
+        objects.extend(windows)
+    return {id(obj): obj for obj in objects}
+
+
+class TestSnapshotMemo:
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Checks every snapshot a durable run writes against the stdlib.
+
+        The file must hold ``json.dumps`` of a memo-free encoding plus
+        the journal watermark, and the run's memo exactly its live
+        objects.  Yields the list of retained-window counts seen.
+        """
+        seen: list[int] = []
+        save = checkpoint.save_snapshot
+
+        def save_and_check(data, path, *, fs=None, memo=None):
+            written = save(data, path, fs=fs, memo=memo)
+            durable = runs[-1]
+            expected = snapshot_metascheduler(durable.meta)
+            expected["journal_seq"] = durable._journal.next_seq
+            assert data == expected
+            assert written.read_text(encoding="utf-8") == (
+                json.dumps(expected, separators=(",", ":"), sort_keys=True) + "\n"
+            )
+            live = live_objects(durable.meta)
+            assert memo is durable._snapshot_memo
+            assert len(memo) == len(live)
+            assert all(obj in memo for obj in live.values())
+            seen.append(sum(len(w) for w in durable.meta.recovery._retained.values()))
+            return written
+
+        runs: list[DurableMetascheduler] = []
+        real_init = DurableMetascheduler.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            runs.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "save_snapshot", save_and_check)
+        monkeypatch.setattr(DurableMetascheduler, "__init__", tracked_init)
+        return seen
+
+    def test_every_snapshot_is_byte_identical_to_stdlib_json(self, tmp_path, checked):
+        durable = build_recovery_run(tmp_path)
+        run_ticks(durable, range(16))
+        durable.close()
+        reports = durable.meta.reports
+        assert sum(report.revocations for report in reports) > 0
+        assert sum(report.hot_swaps for report in reports) > 0
+        assert max(checked) > 0  # some snapshots carried retained windows
+        assert len(checked) == 1 + 16 // 2 + 1
+
+    def test_restored_run_continues_byte_identical_with_a_fresh_memo(
+        self, tmp_path, checked
+    ):
+        durable = build_recovery_run(tmp_path, snapshot_every=3)
+        run_ticks(durable, range(7))
+        # No close(): the journal tail past the last snapshot is replayed.
+        restored = DurableMetascheduler.restore(tmp_path, snapshot_every=3, fsync=False)
+        assert len(restored._snapshot_memo) == 0
+        before = len(checked)
+        run_ticks(restored, range(7, 16))
+        restored.close()
+        assert len(checked) - before == 9 // 3 + 1
+
+    def test_memo_follows_released_intervals_and_new_reports(self, tmp_path, checked):
+        durable = build_recovery_run(tmp_path, snapshot_every=100)
+        run_ticks(durable, range(4))
+        durable.snapshot()
+        memo = durable._snapshot_memo
+        node = next(durable.meta.environment.nodes())
+        released, *rest = node.schedule.intervals()
+        node.schedule.release(released)
+        label = rest[0].label
+        labelled = [iv for iv in node.schedule if iv.label == label]
+        assert node.schedule.release_label(label) == len(labelled)
+        report = durable.run_iteration(200.0)
+        assert report not in memo
+        durable.snapshot()
+        assert released not in memo
+        assert not any(interval in memo for interval in labelled)
+        assert report in memo
+
+    def test_memo_swaps_out_a_revoked_window(self, tmp_path, checked):
+        durable = build_recovery_run(tmp_path, snapshot_every=100)
+        run_ticks(durable, range(2))
+        durable.snapshot()
+        memo = durable._snapshot_memo
+        meta = durable.meta
+        record = next(
+            record for record in meta.trace if record.state is JobState.SCHEDULED
+        )
+        revoked = record.window
+        assert revoked in memo
+        allocation = revoked.allocations[0]
+        node = next(
+            node for node in meta.environment.nodes() if node.resource is allocation.resource
+        )
+        durable.inject_outage(node, allocation.start, allocation.start + 10.0)
+        assert record.window is not revoked
+        durable.snapshot()
+        assert revoked not in memo
+        if record.window is not None:
+            assert record.window in memo
+
+    def test_save_without_a_memo_writes_the_same_bytes(self, tmp_path):
+        durable = build_recovery_run(tmp_path / "run")
+        run_ticks(durable, range(6))
+        memo = SnapshotMemo()
+        plain = save_snapshot(snapshot_metascheduler(durable.meta), tmp_path / "plain.json")
+        # Two rounds, so the second splices text cached by the first.
+        for name in ("first.json", "second.json"):
+            data = snapshot_metascheduler(durable.meta, memo=memo)
+            spliced = save_snapshot(data, tmp_path / name, memo=memo)
+            assert spliced.read_bytes() == plain.read_bytes()
+
+    def test_memo_hit_interns_the_window_resources_in_order(self):
+        # Windows on resources no node publishes put those resources in
+        # the table in window order; a memo hit must keep that order.
+        meta = build_meta()
+        for index, uid in enumerate((990, 980)):
+            job = make_job(index, nodes=1)
+            record = meta.trace.add(job, 0.0)
+            source = Slot(Resource(f"foreign{uid}", uid=uid), 0.0, 100.0)
+            record.window = Window(job.request, [TaskAllocation(source, 0.0, 60.0)])
+        memo = SnapshotMemo()
+        snapshot_metascheduler(meta, memo=memo)
+        again = snapshot_metascheduler(meta, memo=memo)
+        assert again == snapshot_metascheduler(meta)
+        assert [entry["uid"] for entry in again["resources"]][-2:] == [990, 980]

@@ -137,6 +137,14 @@ class TestSearchScheme:
                     if resource == slot.resource:
                         assert end <= slot.start or slot.end <= start
 
+    def test_indexed_remaining_slots_are_built_once_and_match_naive(self):
+        slots = make_uniform_slots(3, length=150.0)
+        batch = _batch(ResourceRequest(1, 40.0), ResourceRequest(2, 60.0))
+        indexed = find_alternatives(slots, batch)
+        naive = find_alternatives(slots, batch, use_index=False)
+        assert indexed.remaining_slots is indexed.remaining_slots
+        assert list(indexed.remaining_slots) == list(naive.remaining_slots)
+
     def test_amp_finds_superset_count_of_alp(self):
         # Environment where the only possible partner node is expensive:
         # ALP's per-slot cap (5 < 8) rules it out entirely, while AMP's
