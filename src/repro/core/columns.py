@@ -315,9 +315,3 @@ class ColumnStore:
             if entry is not None:
                 entries.append(entry)
         return entries
-
-    def count_end_at_or_before(self, limit: float) -> int:
-        """Rows whose ``end <= limit`` — the tier-1 start-hint prune count."""
-        if _np is not None and len(self.ends):
-            return int(_np.count_nonzero(_np.frombuffer(self.ends) <= limit))
-        return sum(1 for end in self.ends if end <= limit)

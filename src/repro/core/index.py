@@ -133,12 +133,11 @@ class _Memo:
 
     ``entries`` are the static-predicate survivors in scan order.
     Finds drop entries that fell behind the monotone start hint
-    (``end <= hint`` — the tier-1 prune, decided on the *columns* for
-    instrumentation, so dropping memo entries never changes a reported
-    count); ``floor`` records the largest hint whose dead entries were
-    removed.  A later scan with a smaller effective hint (a second job
-    sharing the request key, or a post-:meth:`SlotIndex.insert` clamp)
-    would need those entries back, so it rebuilds from the columns.
+    (``end <= hint`` — the tier-1 prune); ``floor`` records the largest
+    hint whose dead entries were removed.  A later scan with a smaller
+    effective hint (a second job sharing the request key, or a
+    post-:meth:`SlotIndex.insert` clamp) would need those entries back,
+    so it rebuilds from the columns.
 
     ``synced`` is the index into the owning :class:`SlotIndex`'s
     mutation journal up to which this memo is current.  Mutations no
@@ -158,16 +157,27 @@ class _Memo:
 class SlotIndex:
     """Sorted, incrementally-updated view of a vacant-slot list.
 
+    The ``last_*`` attributes describe the most recent
+    :meth:`find_alp_window`/:meth:`find_amp_window_at` call and are
+    recorded on every find, so the search loop can report scan work
+    without a second pass.  Entries a compaction or a memo rebuild at
+    the hint already removed are not visited and not counted, so
+    ``last_hint_skips + last_runtime_skips <= last_scanned`` always.
+
     Attributes:
-        last_scanned: Survivor-memo entries the most recent
-            :meth:`find_alp_window`/:meth:`find_amp_window_at` call
-            visited, hint-dead entries included.  Recorded on every
-            find, so the search loop can report scan depth without a
-            second pass.
+        last_scanned: Survivor-memo entries the scan visited, skipped
+            ones included.
+        last_hint_skips: Visited entries skipped by the tier-1
+            start-hint prune (``end <= start_hint``: the row cannot
+            survive to any event at or past the hint).
+        last_runtime_skips: Visited entries skipped by the tier-2
+            prune (``end - start_hint < runtime``: the row outlives the
+            hint but cannot fit the runtime from there).
     """
 
     __slots__ = (
-        "_columns", "_resources", "_memos", "_ops", "_hint_floor", "last_scanned"
+        "_columns", "_resources", "_memos", "_ops", "_hint_floor",
+        "last_scanned", "last_hint_skips", "last_runtime_skips",
     )
 
     def __init__(self, slots: Iterable[Slot] = ()) -> None:
@@ -194,6 +204,8 @@ class SlotIndex:
         # from, i.e. hints pass through unchanged.
         self._hint_floor = float("inf")
         self.last_scanned = 0
+        self.last_hint_skips = 0
+        self.last_runtime_skips = 0
 
     # ------------------------------------------------------------------ #
     # Container protocol                                                 #
@@ -229,63 +241,6 @@ class SlotIndex:
         rows (the index keeps no ``Slot`` objects).
         """
         return SlotList(self._materialize())
-
-    def hint_skippable(self, start_hint: float) -> int:
-        """Rows the finders' ``start_hint`` fast path skips outright.
-
-        Counts the rows failing the first scan condition
-        (``end <= start_hint``, after the :meth:`insert` clamp) — the
-        tier-1 monotone start-hint prune.  The finders apply a *second*
-        hint-derived prune (``end - start_hint < runtime``) to rows that
-        survive the static predicates; :meth:`hint_prunes` reports both
-        tiers.  ``O(m)`` vectorized; never called on the hot path.
-        """
-        if start_hint > self._hint_floor:
-            start_hint = self._hint_floor
-        if start_hint == NEG_INF:
-            return 0
-        return self._columns.count_end_at_or_before(start_hint)
-
-    def hint_prunes(
-        self,
-        request: ResourceRequest,
-        *,
-        start_hint: float,
-        check_price: bool = True,
-    ) -> tuple[int, int]:
-        """Both start-hint prune tiers for one request's scan.
-
-        The finders prune against the hint twice, at different depths:
-
-        * **tier 1** — ``end <= start_hint``: the row cannot survive to
-          any event at or past the hint.  Applied to *every* row before
-          the static predicates; this is :meth:`hint_skippable`.
-        * **tier 2** — ``end - start_hint < runtime``: the row passes
-          the static predicates (performance, price cap, slot length)
-          but cannot fit the request's runtime between the hint and its
-          end.  Only statically-feasible rows reach this test, so the
-          two tiers never double-count a row.
-
-        Returns ``(tier1, tier2)`` after the :meth:`insert` hint clamp;
-        ``(0, 0)`` for an unset hint.  ``check_price=False`` mirrors the
-        AMP scan, which has no per-slot price cap.  The search loop
-        calls it only while decision logging is on.
-        """
-        if start_hint > self._hint_floor:
-            start_hint = self._hint_floor
-        if start_hint == NEG_INF:
-            return (0, 0)
-        tier1 = self._columns.count_end_at_or_before(start_hint)
-        max_price = request.max_price if check_price else None
-        memo = self._survivors(
-            request.volume, request.min_performance, max_price, start_hint
-        )
-        tier2 = sum(
-            1
-            for entry in memo.entries
-            if entry[1] > start_hint and entry[1] - start_hint < entry[5]
-        )
-        return (tier1, tier2)
 
     # ------------------------------------------------------------------ #
     # Survivor memos                                                     #
@@ -385,15 +340,19 @@ class SlotIndex:
             memo.synced = total_ops
         return memo
 
-    @staticmethod
-    def _compact(memo: _Memo, hint: float, dead: int, scanned: int) -> None:
-        """Drop the tier-1 hint-dead entries a scan just skipped.
+    def _finish_scan(
+        self, memo: _Memo, hint: float, scanned: int, dead: int, short: int
+    ) -> None:
+        """Record a find's scan counts and drop the hint-dead entries it skipped.
 
         ``dead`` of the first ``scanned`` entries failed ``end > hint``;
         by hint monotonicity they fail every future scan of this memo
         too (a smaller hint forces a rebuild via ``floor``), so the scan
         rewrites its prefix without them once the copy pays for itself.
         """
+        self.last_scanned = scanned
+        self.last_hint_skips = dead
+        self.last_runtime_skips = short
         if dead >= _COMPACT_MIN_DEAD and dead * 2 >= scanned:
             entries = memo.entries
             entries[:scanned] = [
@@ -456,7 +415,7 @@ class SlotIndex:
         )
         survivors = memo.entries
         window_start = NEG_INF
-        dead = 0
+        dead = short = 0
         # Candidates are the memo tuples themselves, in scan insertion
         # order — the same order ForwardScan.candidates holds; a slot
         # is only materialised for the accepted window.  ``min_bound``
@@ -474,6 +433,7 @@ class SlotIndex:
                 continue
             runtime = entry[5]
             if end - start_hint < runtime:
+                short += 1
                 continue
             start = entry[0]
             if start > window_start:
@@ -497,11 +457,9 @@ class SlotIndex:
                     )
                     for c in candidates
                 ]
-                self.last_scanned = scanned
-                self._compact(memo, start_hint, dead, scanned)
+                self._finish_scan(memo, start_hint, scanned, dead, short)
                 return Window.from_scan(request, allocations)
-        self.last_scanned = scanned = len(survivors)
-        self._compact(memo, start_hint, dead, scanned)
+        self._finish_scan(memo, start_hint, len(survivors), dead, short)
         return None
 
     def find_amp_window(
@@ -544,7 +502,7 @@ class SlotIndex:
         )
         survivors = memo.entries
         window_start = NEG_INF
-        dead = 0
+        dead = short = 0
         # Candidates are the memo tuples in insertion order, plus the
         # same candidates ranked by (cost, uid) — AMP step 2°'s ordering —
         # maintained by insertion/removal instead of per-event sorting.
@@ -564,6 +522,7 @@ class SlotIndex:
                 continue
             runtime = entry[5]
             if end - start_hint < runtime:
+                short += 1
                 continue
             start = entry[0]
             if start > window_start:
@@ -607,11 +566,9 @@ class SlotIndex:
                     carved_allocation(self._slot_of(item[3]), sync, sync + item[2])
                     for item in chosen
                 ]
-                self.last_scanned = scanned
-                self._compact(memo, start_hint, dead, scanned)
+                self._finish_scan(memo, start_hint, scanned, dead, short)
                 return Window.from_scan(request, allocations), start
-        self.last_scanned = scanned = len(survivors)
-        self._compact(memo, start_hint, dead, scanned)
+        self._finish_scan(memo, start_hint, len(survivors), dead, short)
         return None
 
     # ------------------------------------------------------------------ #

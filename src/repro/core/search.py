@@ -291,12 +291,12 @@ def _find_alternatives_indexed(
 
     Telemetry attaches as observers behind ``enabled`` checks, none of
     which feeds back into the search: the phase-1 span, the scan and
-    subtract phase timers, the per-find scan counters (from
-    :attr:`SlotIndex.last_scanned`), the batch counters, and — with
-    decision logging on — one record per find carrying both start-hint
-    prune tiers (the extra ``O(m)``
-    :meth:`~repro.core.index.SlotIndex.hint_prunes` count is only paid
-    then).
+    subtract phase timers, the batch counters, and the per-find scan
+    counts the finders record on every call anyway
+    (:attr:`SlotIndex.last_scanned` and both start-hint prune tiers,
+    :attr:`~SlotIndex.last_hint_skips` and
+    :attr:`~SlotIndex.last_runtime_skips`).  With decision logging on,
+    each find also emits one record carrying those counts.
     """
     enabled = telemetry.enabled
     decisions = telemetry.decisions
@@ -308,8 +308,6 @@ def _find_alternatives_indexed(
     depths: list[int] = []
     hint_skips = 0
     runtime_skips = 0
-    skipped = 0
-    runtime_skipped = 0
     with telemetry.span(
         "phase1.find_alternatives", algo=algo_label, jobs=len(batch), indexed=True
     ):
@@ -343,12 +341,6 @@ def _find_alternatives_indexed(
                     and len(windows) >= max_alternatives_per_job
                 ):
                     continue
-                if record_decisions:
-                    skipped, runtime_skipped = index.hint_prunes(
-                        job.request, start_hint=hints[job], check_price=not is_amp
-                    )
-                    hint_skips += skipped
-                    runtime_skips += runtime_skipped
                 if enabled:
                     began = perf_counter()
                 if is_amp:
@@ -363,6 +355,8 @@ def _find_alternatives_indexed(
                 if enabled:
                     scan_seconds += perf_counter() - began
                     depths.append(index.last_scanned)
+                    hint_skips += index.last_hint_skips
+                    runtime_skips += index.last_runtime_skips
                 if found is None:
                     if not is_amp:
                         exhausted.add(job)
@@ -372,8 +366,8 @@ def _find_alternatives_indexed(
                             job=job.name,
                             search_pass=passes,
                             scanned=index.last_scanned,
-                            hint_skips=skipped,
-                            hint_runtime_skips=runtime_skipped,
+                            hint_skips=index.last_hint_skips,
+                            hint_runtime_skips=index.last_runtime_skips,
                         )
                     continue
                 window, event_time = found
@@ -395,8 +389,8 @@ def _find_alternatives_indexed(
                         start=window.start,
                         cost=window.cost,
                         scanned=index.last_scanned,
-                        hint_skips=skipped,
-                        hint_runtime_skips=runtime_skipped,
+                        hint_skips=index.last_hint_skips,
+                        hint_runtime_skips=index.last_runtime_skips,
                     )
             if not found_any:
                 break

@@ -724,7 +724,10 @@ class DurableMetascheduler:
     :meth:`run_iteration`, :meth:`run`, :meth:`inject_outage` — and
     journals each as a command after it executes.  Every
     ``snapshot_every`` iterations the full state is snapshotted
-    atomically and the journal compacted, bounding replay work.
+    atomically and stamped with the journal's next sequence number as
+    its watermark, bounding replay work.  The journal itself is never
+    compacted: it only grows, and :meth:`restore` CRC-checks every
+    record but replays only those at or past the watermark.
 
     Args:
         meta: The metascheduler to make durable.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 from repro.core.errors import SlotListError
@@ -46,6 +47,9 @@ class BusyInterval:
     def length(self) -> float:
         """Duration of the busy span."""
         return self.end - self.start
+
+
+_end = attrgetter("end")
 
 
 class OccupancySchedule:
@@ -114,17 +118,20 @@ class OccupancySchedule:
         """Vacant ``(start, end)`` gaps inside ``[horizon_start, horizon_end)``.
 
         Busy intervals outside the horizon are clipped; zero-length gaps
-        are dropped.
+        are dropped.  The intervals are sorted and disjoint, so their
+        ends are sorted too: the history ending at or before the horizon
+        is skipped by bisection rather than walked.
         """
         if horizon_end < horizon_start:
             raise SlotListError(
                 f"horizon end {horizon_end!r} precedes start {horizon_start!r}"
             )
+        intervals = self._intervals
         spans: list[tuple[float, float]] = []
         cursor = horizon_start
-        for interval in self._intervals:
-            if interval.end <= horizon_start:
-                continue
+        first = bisect.bisect_right(intervals, horizon_start, key=_end)
+        for position in range(first, len(intervals)):
+            interval = intervals[position]
             if interval.start >= horizon_end:
                 break
             if interval.start > cursor:
@@ -134,7 +141,7 @@ class OccupancySchedule:
                 break
         if cursor < horizon_end:
             spans.append((cursor, horizon_end))
-        return [(start, end) for start, end in spans if end > start]
+        return spans
 
     def busy_time(self, horizon_start: float, horizon_end: float, *, label_prefix: str | None = None) -> float:
         """Total busy time within the horizon, optionally by label prefix."""

@@ -75,9 +75,6 @@ class TestMaskKernelParity:
         vectorized = store.survivors(40.0, 1.2, 4.0)
         monkeypatch.setattr(columns_module, "_np", None)
         assert store.survivors(40.0, 1.2, 4.0) == vectorized
-        assert store.count_end_at_or_before(30.0) == sum(
-            1 for end in store.ends if end <= 30.0
-        )
 
 
 class TestStoreMutation:

@@ -9,10 +9,11 @@ Covers the three satellite fixes:
   neighbourhood instead of scanning the whole row prefix (behavioral
   equivalence is pinned here on the crafted cases; the revocation-churn
   oracle covers it at scale);
-* ``hint_prunes`` reports *both* start-hint prune tiers — the old
-  ``hint_skippable`` count only covered tier 1 (``end <= start_hint``),
-  under-reporting the finders' actual skip work — and the search loop's
-  decision records carry both numbers.
+* the finders count *both* start-hint prune tiers while they scan
+  (``last_hint_skips`` for ``end <= start_hint``, ``last_runtime_skips``
+  for ``end - start_hint < runtime``), so the counts describe the scan
+  itself — never more skips than visited entries — and the search
+  loop's decision records carry both numbers.
 """
 
 from __future__ import annotations
@@ -30,8 +31,14 @@ from repro.core import (
 )
 from repro.core.search import SlotSearchAlgorithm, find_alternatives
 from repro.obs.decisions import DecisionLog
-from repro.obs.telemetry import configure, get_telemetry, install
-from tests.conftest import make_resource, make_uniform_slots
+from repro.obs.telemetry import configure, disable, get_telemetry, install
+from repro.sim import ExperimentConfig, ParallelRunner
+from tests.conftest import (
+    make_random_batch,
+    make_random_slot_list,
+    make_resource,
+    make_uniform_slots,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -98,7 +105,7 @@ class TestInsertBisection:
 
 
 def pinned_environment() -> tuple[SlotIndex, ResourceRequest]:
-    """Hand-built instance with known prune counts at hint 25.
+    """Hand-built instance with known prune counts at hints 25 and 35.
 
     Rows (perf, price, span): n1 (1, 1, [0,10)), n2 (1, 1, [0,30)),
     n3 (2, 5, [0,35)), n4 (1, 1, [20,100)), n5 (0.5, 1, [40,60)).
@@ -117,37 +124,123 @@ def pinned_environment() -> tuple[SlotIndex, ResourceRequest]:
     return SlotIndex(slots), request
 
 
+def scan_counts(index: SlotIndex) -> tuple[int, int, int]:
+    """``(hint_skips, runtime_skips, scanned)`` of the index's last find."""
+    return (index.last_hint_skips, index.last_runtime_skips, index.last_scanned)
+
+
+#: AMP budget no candidate pair meets, so every AMP find below misses
+#: and leaves the index unchanged.
+NO_BUDGET = 1.0
+
+
 class TestHintPrunes:
     def test_pinned_two_tier_counts(self):
         index, request = pinned_environment()
-        # Tier 1: only n1 ends at or before the hint.  Tier 2 (with the
-        # ALP price cap): statics are {n2, n4} — n1 is too short for
-        # runtime 30, n3 too expensive, n5 too slow — and of those only
-        # n2 (end 30) cannot fit 30 time units after hint 25.
-        assert index.hint_prunes(request, start_hint=25.0) == (1, 1)
+        # ALP statics are {n2, n4}: n1 is too short for runtime 30, n3
+        # too expensive, n5 too slow.  A first find at hint 25 builds the
+        # memo already filtered to ``end > 25``, so no tier-1 entry is
+        # visited; of the two entries only n2 (end 30) cannot fit 30 time
+        # units after the hint.
+        assert index.find_alp_window(request, start_hint=25.0) is None
+        assert scan_counts(index) == (0, 1, 2)
         # Without the price cap (AMP) n3 joins the statics: runtime 15,
         # end 35, and 35 - 25 = 10 < 15 adds a second tier-2 prune.
-        assert index.hint_prunes(request, start_hint=25.0, check_price=False) == (
-            1,
-            2,
+        index, request = pinned_environment()
+        assert (
+            index.find_amp_window_at(request, budget=NO_BUDGET, start_hint=25.0)
+            is None
         )
+        assert scan_counts(index) == (0, 2, 3)
 
     def test_unset_hint_reports_zero(self):
         index, request = pinned_environment()
-        assert index.hint_prunes(request, start_hint=float("-inf")) == (0, 0)
+        assert index.find_alp_window(request, start_hint=float("-inf")) is None
+        assert scan_counts(index) == (0, 0, 2)
+        assert (
+            index.find_amp_window_at(request, budget=NO_BUDGET) is None
+        )
+        assert scan_counts(index) == (0, 0, 3)
 
-    def test_tier1_matches_hint_skippable(self):
+    @pytest.mark.parametrize("is_amp", [False, True], ids=["alp", "amp"])
+    def test_tier1_counts_visited_dead_entries(self, is_amp):
+        # A first find with no hint builds the full memo; a second find
+        # at hint 35 replays it unchanged and visits the entries ending
+        # at or before the hint — n2 for ALP, n2 and n3 for AMP.
         index, request = pinned_environment()
-        tier1, _ = index.hint_prunes(request, start_hint=25.0)
-        assert tier1 == index.hint_skippable(25.0) == 1
+
+        def find(start_hint):
+            if is_amp:
+                return index.find_amp_window_at(
+                    request, budget=NO_BUDGET, start_hint=start_hint
+                )
+            return index.find_alp_window(request, start_hint=start_hint)
+
+        assert find(float("-inf")) is None
+        assert find(35.0) is None
+        assert scan_counts(index) == ((2, 0, 3) if is_amp else (1, 0, 2))
 
     def test_tiers_never_double_count(self):
-        # A row pruned by tier 1 must not appear in tier 2: tier 2 only
-        # counts rows with end > start_hint.
+        # A tier-1 entry is not re-tested by tier 2, and a fresh find
+        # at the hint never visits the entries its rebuild dropped.
         index, request = pinned_environment()
-        tier1, tier2 = index.hint_prunes(request, start_hint=35.0)
-        assert tier1 == 3  # n1, n2, n3 all end at or before 35
-        assert tier2 == 0
+        assert index.find_alp_window(request, start_hint=35.0) is None
+        assert scan_counts(index) == (0, 0, 1)
+        assert index.find_alp_window(request, start_hint=35.0) is None
+        assert scan_counts(index) == (0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
+    )
+    def test_counts_equal_with_telemetry_off_and_on(self, algorithm, monkeypatch):
+        recorded: list[tuple[int, int, int]] = []
+        for name in ("find_alp_window", "find_amp_window_at"):
+            original = getattr(SlotIndex, name)
+
+            def spy(self, *args, _original=original, **kwargs):
+                found = _original(self, *args, **kwargs)
+                recorded.append(scan_counts(self))
+                return found
+
+            monkeypatch.setattr(SlotIndex, name, spy)
+
+        def run() -> list[tuple[int, int, int]]:
+            recorded.clear()
+            for seed in range(6):
+                find_alternatives(
+                    make_random_slot_list(seed, count=60),
+                    make_random_batch(seed),
+                    algorithm,
+                )
+            return list(recorded)
+
+        disable()
+        off = run()
+        configure(decisions=DecisionLog())
+        on = run()
+        records = [
+            (record["hint_skips"], record["hint_runtime_skips"], record["scanned"])
+            for record in get_telemetry().decisions.records
+            if record["op"] in ("search.alternative_accepted", "index.no_window")
+        ]
+        assert off == on == records
+        assert any(skips or short for skips, short, _ in off), "no hint prunes"
+
+    @pytest.mark.parametrize("seed", [20110368, 918273])
+    def test_skips_bounded_by_scanned_on_series(self, seed):
+        configure(decisions=DecisionLog())
+        ParallelRunner(ExperimentConfig(iterations=20, seed=seed), workers=1).run()
+        records = [
+            record
+            for record in get_telemetry().decisions.records
+            if record["op"] in ("search.alternative_accepted", "index.no_window")
+        ]
+        assert records, "series emitted no search records"
+        assert any(record["hint_skips"] for record in records)
+        assert any(record["hint_runtime_skips"] for record in records)
+        for record in records:
+            skipped = record["hint_skips"] + record["hint_runtime_skips"]
+            assert skipped <= record["scanned"], record
 
 
 class TestDecisionRecordFields:

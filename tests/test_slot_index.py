@@ -178,18 +178,25 @@ class TestSubtract:
 
 
 class _CountingEntries(list):
-    """A survivor-memo entry list that counts the entries a scan visits."""
+    """A survivor-memo entry list that records the entries a scan visits."""
 
-    visited = 0
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.seen = []
+
+    @property
+    def visited(self):
+        return len(self.seen)
 
     def __iter__(self):
         for entry in list.__iter__(self):
-            self.visited += 1
+            self.seen.append(entry)
             yield entry
 
 
 class TestLastScanned:
-    """``last_scanned`` equals the memo entries the finder's scan visited."""
+    """``last_scanned`` equals the memo entries the finder's scan visited,
+    and both prune counts equal the visited entries failing each tier."""
 
     @staticmethod
     def _counting_index(slots, monkeypatch):
@@ -208,7 +215,7 @@ class TestLastScanned:
 
     @pytest.mark.parametrize("is_amp", [False, True], ids=["alp", "amp"])
     def test_matches_visited_entries_across_passes(self, is_amp, monkeypatch):
-        finds = 0
+        finds = pruned = 0
         for seed in range(12):
             slots = make_random_slot_list(seed, count=40)
             index, memos = self._counting_index(slots, monkeypatch)
@@ -227,13 +234,24 @@ class TestLastScanned:
                         )
                         found = None if window is None else (window, window.start)
                     (entries,) = memos
+                    hint = hints[job]
                     assert index.last_scanned == entries.visited, f"seed={seed}"
-                    entries.visited = 0
+                    assert index.last_hint_skips == sum(
+                        1 for entry in entries.seen if entry[1] <= hint
+                    ), f"seed={seed}"
+                    assert index.last_runtime_skips == sum(
+                        1
+                        for entry in entries.seen
+                        if entry[1] > hint and entry[1] - hint < entry[5]
+                    ), f"seed={seed}"
+                    entries.seen.clear()
                     finds += 1
+                    pruned += index.last_hint_skips + index.last_runtime_skips
                     if found is not None:
                         index.commit(found[0])
                         hints[job] = found[1]
         assert finds > 100
+        assert pruned > 0
 
     def test_miss_scans_every_survivor(self):
         index = SlotIndex(make_uniform_slots(3, length=50.0))
