@@ -11,7 +11,7 @@ python tuples.  Two things fall out of that layout:
   over the raw float buffers (numpy reads the ``array`` memory directly
   through the buffer protocol, no copies), so a survivor-memo build is
   a handful of C loops instead of a python-level predicate per row;
-* mutation stays cheap: inserting or deleting a row is a small
+* commits stay cheap: inserting or deleting a row is a small
   ``memmove`` per column instead of shifting ``PyObject`` pointers, and
   the sorted-by-``(start, end, uid)`` invariant is maintained by
   bisection exactly as before.
@@ -23,9 +23,10 @@ comparisons are exact predicates, so both the survivor *set* and each
 survivor's ``runtime`` are bit-for-bit the same whether the mask or the
 scalar kernel produced them (``tests/test_columns.py`` checks the two
 against each other; the differential oracles in
-``tests/test_reference_oracles.py`` pin the full search).  When numpy is
-unavailable the scalar kernel *is* the implementation, not just the
-spec.
+``tests/test_reference_oracles.py`` pin the full search).  numpy is a
+runtime dependency: the mask builds every memo, and the scalar kernel is
+its executable spec, inlined by the memo replay of
+:meth:`~repro.core.index.SlotIndex.commit` ops.
 
 The kernels here back the survivor memos of
 :class:`~repro.core.index.SlotIndex`, the phase-1 fast path.
@@ -38,13 +39,9 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable
 
-__all__ = ["Row", "SurvivorRow", "ColumnStore", "static_survivor", "expiry_bound"]
+import numpy as _np
 
-try:  # numpy is a hard dependency of phase 2 (repro.core.optimize), but
-    # the phase-1 column path degrades gracefully to the scalar kernel.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None  # type: ignore[assignment]
+__all__ = ["Row", "SurvivorRow", "ColumnStore", "static_survivor", "expiry_bound"]
 
 #: Primitive row layout shared by every fast path:
 #: ``(start, end, resource uid, performance, price)``.  The leading
@@ -91,7 +88,7 @@ def static_survivor(
 
     This scalar kernel and the vectorized mask of
     :meth:`ColumnStore.survivors` are interchangeable bit-for-bit; the
-    incremental memo maintenance of the index uses this form because it
+    incremental memo replay of the index inlines this form because it
     touches one row at a time.
     """
     performance = row[3]
@@ -122,7 +119,7 @@ class ColumnStore:
     from rows and its ``uid → Resource`` map where it needs them.
     """
 
-    __slots__ = ("starts", "ends", "uids", "perfs", "prices", "_uid_counts")
+    __slots__ = ("starts", "ends", "uids", "perfs", "prices")
 
     def __init__(self, rows: Iterable[Row] = ()) -> None:
         ordered = sorted(rows, key=_row_key)
@@ -131,10 +128,6 @@ class ColumnStore:
         self.uids = array("q", (row[2] for row in ordered))
         self.perfs = array("d", (row[3] for row in ordered))
         self.prices = array("d", (row[4] for row in ordered))
-        counts: dict[int, int] = {}
-        for uid in self.uids:
-            counts[uid] = counts.get(uid, 0) + 1
-        self._uid_counts = counts
 
     # ------------------------------------------------------------------ #
     # Row access                                                         #
@@ -142,16 +135,6 @@ class ColumnStore:
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    def row_at(self, position: int) -> Row:
-        """The primitive row at ``position``."""
-        return (
-            self.starts[position],
-            self.ends[position],
-            self.uids[position],
-            self.perfs[position],
-            self.prices[position],
-        )
 
     def key_at(self, position: int) -> tuple[float, float, int]:
         """The sort key ``(start, end, uid)`` of the row at ``position``."""
@@ -188,18 +171,15 @@ class ColumnStore:
         self.uids.insert(position, row[2])
         self.perfs.insert(position, row[3])
         self.prices.insert(position, row[4])
-        uid = row[2]
-        self._uid_counts[uid] = self._uid_counts.get(uid, 0) + 1
         return position
 
     def replace_row_at(self, position: int, row: Row) -> None:
         """Overwrite the row at ``position`` in place.
 
         The caller guarantees the new row keeps the sort invariant at
-        this position and shares the old row's uid (so the uid counts
-        are unchanged) — the carve-in-place fast path of
+        this position — the carve-in-place fast path of
         :meth:`~repro.core.index.SlotIndex.commit`, which shrinks a
-        slot's end while keeping its start, satisfies both.
+        slot's end while keeping its start, satisfies it.
         """
         self.starts[position] = row[0]
         self.ends[position] = row[1]
@@ -209,53 +189,13 @@ class ColumnStore:
 
     def delete_at(self, position: int) -> Row:
         """Remove and return the row at ``position``."""
-        row = (
+        return (
             self.starts.pop(position),
             self.ends.pop(position),
             self.uids.pop(position),
             self.perfs.pop(position),
             self.prices.pop(position),
         )
-        uid = row[2]
-        remaining = self._uid_counts[uid] - 1
-        if remaining:
-            self._uid_counts[uid] = remaining
-        else:
-            del self._uid_counts[uid]
-        return row
-
-    def find_same_uid_overlap(
-        self, start: float, end: float, uid: int
-    ) -> tuple[float, float] | None:
-        """Span of an existing same-``uid`` row overlapping ``[start, end)``.
-
-        Locates the insertion neighbourhood by bisection instead of
-        scanning the whole row prefix: rows starting inside
-        ``[start, end)`` are checked directly, and of the rows starting
-        before ``start`` only the *latest* same-uid one can reach past
-        ``start`` — same-resource rows are disjoint, so every earlier
-        one ends at or before that row's start — so the leftward walk
-        stops at the first same-uid hit.  Returns the overlapping span
-        for the caller's error message, or ``None``.
-        """
-        if uid not in self._uid_counts:
-            return None
-        starts, ends, uids = self.starts, self.ends, self.uids
-        first = bisect_left(starts, start)
-        position = first
-        total = len(starts)
-        while position < total and starts[position] < end:
-            if uids[position] == uid and ends[position] > start:
-                return (starts[position], ends[position])
-            position += 1
-        position = first - 1
-        while position >= 0:
-            if uids[position] == uid:
-                if ends[position] > start:
-                    return (starts[position], ends[position])
-                return None
-            position -= 1
-        return None
 
     # ------------------------------------------------------------------ #
     # Vectorized predicates                                              #
@@ -271,9 +211,9 @@ class ColumnStore:
         """Rows passing the static predicates, as :data:`SurvivorRow`
         tuples in scan order.
 
-        With numpy present the mask is evaluated vectorized over
-        zero-copy buffer views of the columns; the result is
-        bit-identical to mapping :func:`static_survivor` over every row.
+        The mask is evaluated vectorized over zero-copy buffer views of
+        the columns; the result is bit-identical to mapping
+        :func:`static_survivor` over every row.
 
         ``min_end`` additionally drops rows with ``end <= min_end`` —
         an exact comparison, so the result equals the unfiltered
@@ -282,36 +222,27 @@ class ColumnStore:
         attaching entries the scan would immediately discard as
         hint-dead.
         """
-        if _np is not None and len(self.starts):
-            perfs = _np.frombuffer(self.perfs)
-            mask = perfs >= min_performance
-            if max_price is not None:
-                mask &= _np.frombuffer(self.prices) <= max_price
-            runtimes = volume / perfs
-            starts = _np.frombuffer(self.starts)
-            ends = _np.frombuffer(self.ends)
-            mask &= (ends - starts) >= runtimes
-            if min_end != float("-inf"):
-                mask &= ends > min_end
-            chosen = _np.flatnonzero(mask)
-            return list(
-                zip(
-                    starts[chosen].tolist(),
-                    ends[chosen].tolist(),
-                    _np.frombuffer(self.uids, dtype=_np.int64)[chosen].tolist(),
-                    perfs[chosen].tolist(),
-                    _np.frombuffer(self.prices)[chosen].tolist(),
-                    runtimes[chosen].tolist(),
-                    expiry_bound(ends, runtimes)[chosen].tolist(),
-                )
+        if not len(self.starts):
+            return []
+        perfs = _np.frombuffer(self.perfs)
+        mask = perfs >= min_performance
+        if max_price is not None:
+            mask &= _np.frombuffer(self.prices) <= max_price
+        runtimes = volume / perfs
+        starts = _np.frombuffer(self.starts)
+        ends = _np.frombuffer(self.ends)
+        mask &= (ends - starts) >= runtimes
+        if min_end != float("-inf"):
+            mask &= ends > min_end
+        chosen = _np.flatnonzero(mask)
+        return list(
+            zip(
+                starts[chosen].tolist(),
+                ends[chosen].tolist(),
+                _np.frombuffer(self.uids, dtype=_np.int64)[chosen].tolist(),
+                perfs[chosen].tolist(),
+                _np.frombuffer(self.prices)[chosen].tolist(),
+                runtimes[chosen].tolist(),
+                expiry_bound(ends, runtimes)[chosen].tolist(),
             )
-        entries: list[SurvivorRow] = []
-        for position in range(len(self.starts)):
-            if self.ends[position] <= min_end:
-                continue
-            entry = static_survivor(
-                self.row_at(position), volume, min_performance, max_price
-            )
-            if entry is not None:
-                entries.append(entry)
-        return entries
+        )

@@ -1,4 +1,4 @@
-"""Incrementally-maintained slot index — the fast phase-1 search path.
+"""Per-search slot index — the fast phase-1 search path.
 
 :class:`SlotIndex` holds the ordered vacant-slot list as parallel
 primitive *columns* (start, end, resource uid, performance, price in
@@ -8,22 +8,21 @@ so the ALP/AMP forward scans run over local floats instead of chasing
 carved slot by bisection instead of a linear rescan.  The index holds no
 ``Slot`` objects at all: it keeps the only ``uid → Resource`` map and
 reconstructs value-equal ``Slot`` objects exactly where one leaves the
-index — a found window's source slots, :meth:`subtract`'s return value,
-:meth:`slot_list` — so the hot scan and mutation paths touch nothing but
-primitive tuples.  The index is built
-once per alternative search and maintained *incrementally* across the
-whole multi-pass scheme: every committed window only touches the
-``O(log m)`` neighbourhood of its source rows.
+index — a found window's source slots and :meth:`slot_list` — so the
+hot scan and commit paths touch nothing but primitive tuples.  The
+index is built once per alternative search, and :meth:`commit` is its
+only mutation: every committed window only touches the ``O(log m)``
+neighbourhood of its source rows.
 
 On top of the column layout the index memoizes the request-*static*
 part of the scan predicates: for each ``(volume, min_performance,
 max_price)`` key the surviving rows — with their precomputed runtimes —
 are built once by a vectorized mask over the columns
 (:meth:`ColumnStore.survivors`) and then maintained incrementally
-through ``commit``/``insert``/``subtract``, so the repeated passes of
-one alternative search only re-apply the cheap dynamic start-hint
-predicate over the pre-filtered survivors (the static predicates are
-the vectorized kernels of :mod:`repro.core.columns`).
+through ``commit``, so the repeated passes of one alternative search
+only re-apply the cheap dynamic start-hint predicate over the
+pre-filtered survivors (the static predicates are the vectorized
+kernels of :mod:`repro.core.columns`).
 
 The finders here are drop-in equivalents of :func:`repro.core.alp.find_window`
 and :func:`repro.core.amp.find_window`: they perform the same suitability
@@ -40,7 +39,7 @@ test suite, let the index go beyond the reference implementation:
 * **No same-resource overlap.**  Vacant slots of one resource never share
   processor time (``SlotList.check_no_overlap``), so the slot containing
   an allocated span is unique and can be located by bisection.
-* **Monotone window starts.**  Slot subtraction only removes vacant time,
+* **Monotone window starts.**  :meth:`commit` only removes vacant time,
   so for a fixed request the earliest feasible window start never moves
   backwards across the passes of one alternative search.  The optional
   ``start_hint`` (the event time of the previous window found for the
@@ -48,14 +47,11 @@ test suite, let the index go beyond the reference implementation:
   that cannot survive to any feasible event, and — for AMP — skip the
   cheapest-subset budget checks at events that are provably infeasible.
 
-The monotonicity argument holds only while slots are *subtracted*.
-Mutations that return vacant time — hot-swap recovery re-opening a
-revoked window, outage cancellation releasing reservations — can make
-earlier events feasible again, so :meth:`SlotIndex.insert` records the
-smallest re-inserted slot start and every finder clamps the caller's
-``start_hint`` to it.  Events before a re-inserted slot's start are
-untouched by the insertion and stay infeasible, so the clamped hint is
-still safe; events at or past it are re-scanned.
+Vacant time never comes back into an index.  Revocations and outages
+return or remove time in the node schedules, and the next search
+re-publishes it through
+:meth:`~repro.grid.environment.VOEnvironment.vacant_slot_list` into a
+fresh index, so a hint never outlives the list it was found on.
 """
 
 from __future__ import annotations
@@ -113,19 +109,13 @@ _COMPACT_MIN_DEAD = 32
 #: resets the entry list's insertion churn.
 _REPLAY_MAX = 24
 
-#: One journalled mutation: the ``(start, end, uid)`` key of a removed
-#: row (``None`` for pure insertion), the removed row's performance and
-#: price — so replay can decide by the static predicates alone whether
-#: a memo could even contain the row, skipping the bisect probe for the
-#: (common) ops that touch rows outside the memo's survivor set — plus
-#: the replacement rows carved from it.
-_IndexOp = tuple[
-    "tuple[float, float, int] | None", float, float, "list[Row]"
-]
-
-#: Journal length that triggers a trim (evict far-behind memos, drop the
-#: unreachable prefix) so a long-lived index cannot grow it unboundedly.
-_JOURNAL_TRIM = 1024
+#: One committed allocation: the ``(start, end, uid)`` key of the
+#: removed source row, its performance and price — so replay can decide
+#: by the static predicates alone whether a memo could even contain the
+#: row, skipping the bisect probe for the (common) ops that touch rows
+#: outside the memo's survivor set — plus the replacement rows carved
+#: from it.
+_IndexOp = tuple[tuple[float, float, int], float, float, list[Row]]
 
 
 class _Memo:
@@ -135,15 +125,14 @@ class _Memo:
     Finds drop entries that fell behind the monotone start hint
     (``end <= hint`` — the tier-1 prune); ``floor`` records the largest
     hint whose dead entries were removed.  A later scan with a smaller
-    effective hint (a second job sharing the request key, or a
-    post-:meth:`SlotIndex.insert` clamp) would need those entries back,
-    so it rebuilds from the columns.
+    hint (a second job sharing the request key) would need those
+    entries back, so it rebuilds from the columns.
 
     ``synced`` is the index into the owning :class:`SlotIndex`'s
-    mutation journal up to which this memo is current.  Mutations no
-    longer touch memos eagerly — each memo replays its pending journal
-    tail on next access — so memos of requests that finished searching
-    cost nothing while other requests commit.
+    commit journal up to which this memo is current.  Commits do not
+    touch memos eagerly — each memo replays its pending journal tail on
+    next access — so memos of requests that finished searching cost
+    nothing while other requests commit.
     """
 
     __slots__ = ("entries", "floor", "synced")
@@ -155,7 +144,7 @@ class _Memo:
 
 
 class SlotIndex:
-    """Sorted, incrementally-updated view of a vacant-slot list.
+    """Sorted view of a vacant-slot list, built once per search.
 
     The ``last_*`` attributes describe the most recent
     :meth:`find_alp_window`/:meth:`find_amp_window_at` call and are
@@ -176,7 +165,7 @@ class SlotIndex:
     """
 
     __slots__ = (
-        "_columns", "_resources", "_memos", "_ops", "_hint_floor",
+        "_columns", "_resources", "_memos", "_ops",
         "last_scanned", "last_hint_skips", "last_runtime_skips",
     )
 
@@ -192,17 +181,12 @@ class SlotIndex:
         )
         # (volume, min_performance, max_price) → rows surviving the
         # static predicates, in scan order.  Built vectorized on first
-        # use, then kept current lazily: each commit/insert/subtract
-        # appends to the op journal and a memo replays its pending tail
+        # use, then kept current lazily: each commit appends one op per
+        # allocation to the journal and a memo replays its pending tail
         # on next access (or rebuilds if far behind); the dynamic
         # start-hint predicate is applied per scan.
         self._memos: dict[tuple[float, float, float | None], _Memo] = {}
         self._ops: list[_IndexOp] = []
-        # Smallest start among slots re-inserted after construction; any
-        # caller-supplied start_hint is clamped to it (see module
-        # docstring).  +inf while the index has only ever been subtracted
-        # from, i.e. hints pass through unchanged.
-        self._hint_floor = float("inf")
         self.last_scanned = 0
         self.last_hint_skips = 0
         self.last_runtime_skips = 0
@@ -255,9 +239,9 @@ class SlotIndex:
     ) -> _Memo:
         """The static-predicate survivor memo for one request key.
 
-        ``hint`` is the caller's *effective* (post-clamp) start hint; a
-        memo compacted past it is rebuilt vectorized from the columns so
-        that every entry a scan at ``hint`` may need is present.  A memo
+        ``hint`` is the caller's start hint; a memo compacted past it is
+        rebuilt vectorized from the columns so that every entry a scan
+        at ``hint`` may need is present.  A memo
         that fell more than :data:`_REPLAY_MAX` journal ops behind is
         likewise rebuilt; otherwise the pending ops are replayed against
         it, producing exactly the entry set eager maintenance would have
@@ -299,7 +283,7 @@ class SlotIndex:
                 # that fails the memo's static predicates cannot be
                 # among the entries (they are exactly the static
                 # survivors), so the probe is skipped outright.
-                if op_key is not None and (
+                if (
                     op_performance >= min_performance
                     and (max_price is None or op_price <= max_price)
                     and op_key[1] - op_key[0] >= volume / op_performance
@@ -361,29 +345,6 @@ class SlotIndex:
             if hint > memo.floor:
                 memo.floor = hint
 
-    def _journal(self, op: _IndexOp) -> None:
-        """Append one mutation to the journal, trimming when it grows.
-
-        Trimming evicts memos that have fallen behind by more than
-        :data:`_REPLAY_MAX` ops — they would rebuild on next access
-        anyway — after which every surviving memo's cursor is past the
-        journal prefix, which can then be dropped.  Keeps a long-lived
-        index (grid-layer subtract/insert traffic with no searches) at
-        bounded memory.
-        """
-        ops = self._ops
-        ops.append(op)
-        if len(ops) >= _JOURNAL_TRIM:
-            cutoff = len(ops) - _REPLAY_MAX
-            memos = self._memos
-            for key in [k for k, m in memos.items() if m.synced < cutoff]:
-                del memos[key]
-            base = min((m.synced for m in memos.values()), default=len(ops))
-            if base:
-                del ops[:base]
-                for memo in memos.values():
-                    memo.synced -= base
-
     # ------------------------------------------------------------------ #
     # Window search                                                      #
     # ------------------------------------------------------------------ #
@@ -401,13 +362,8 @@ class SlotIndex:
         list.  ``start_hint`` may be set to the start of a window
         previously found for the *same request* on a superset of this
         list; candidates that cannot survive to any event at or past the
-        hint are skipped (the result is unchanged by monotonicity).  If
-        vacant time was re-inserted (:meth:`insert`) the hint is clamped
-        to the earliest re-inserted start, so stale hints never skip
-        windows the new vacancy makes feasible.
+        hint are skipped (the result is unchanged by monotonicity).
         """
-        if start_hint > self._hint_floor:
-            start_hint = self._hint_floor
         node_count = request.node_count
         max_price = request.max_price if check_price else None
         memo = self._survivors(
@@ -494,8 +450,6 @@ class SlotIndex:
         """
         if budget is None:
             budget = request.budget
-        if start_hint > self._hint_floor:
-            start_hint = self._hint_floor
         node_count = request.node_count
         memo = self._survivors(
             request.volume, request.min_performance, None, start_hint
@@ -572,7 +526,7 @@ class SlotIndex:
         return None
 
     # ------------------------------------------------------------------ #
-    # Mutation                                                           #
+    # Commit                                                             #
     # ------------------------------------------------------------------ #
 
     def commit(self, window: Window) -> None:
@@ -641,93 +595,7 @@ class SlotIndex:
                 )
                 columns.insert_row(row)
                 replacements.append(row)
-            self._journal((key, resource.performance, source.price, replacements))
-
-    def insert(self, slot: Slot) -> None:
-        """Re-insert vacant time (outage repair, hot-swap revocation).
-
-        Breaks the only-ever-subtracted assumption behind ``start_hint``
-        monotonicity, so the finders clamp subsequent hints to the
-        earliest re-inserted start: a window may now exist at any event
-        from ``slot.start`` on, however stale the caller's hint is.
-
-        The same-resource overlap check locates the insertion
-        neighbourhood by bisection
-        (:meth:`ColumnStore.find_same_uid_overlap`) instead of scanning
-        the whole row prefix.
-
-        Raises:
-            SlotListError: If the slot overlaps an existing slot of the
-                same resource (same-resource slots must stay disjoint for
-                bisection-based commit to be sound).
-        """
-        resource = slot.resource
-        uid = resource.uid
-        overlap = self._columns.find_same_uid_overlap(slot.start, slot.end, uid)
-        if overlap is not None:
-            raise SlotListError(
-                f"slot [{slot.start:g}, {slot.end:g}) on "
-                f"{resource.name!r} overlaps vacant span "
-                f"[{overlap[0]:g}, {overlap[1]:g})"
-            )
-        # A hot-swap replacement node may be first seen here.
-        self._resources.setdefault(uid, resource)
-        row: Row = (slot.start, slot.end, uid, resource.performance, slot.price)
-        self._columns.insert_row(row)
-        self._journal((None, 0.0, 0.0, [row]))
-        if slot.start < self._hint_floor:
-            self._hint_floor = slot.start
-
-    def subtract(self, resource: Resource, start: float, end: float) -> Slot:
-        """Cut ``[start, end)`` on ``resource`` out of the index.
-
-        Mirrors :meth:`SlotList.subtract` for spans that do not carry a
-        source slot (grid-layer callers); prefer :meth:`commit` on the
-        alternative-search hot path.  Returns a value-equal
-        reconstruction of the slot the span was cut from.
-
-        Raises:
-            SlotListError: If the span is empty or negative
-                (``end <= start``) — subtracting nothing must not carve
-                a containing slot into fragments — or if no vacant slot
-                on ``resource`` contains the span.
-        """
-        if end <= start:
-            raise SlotListError(
-                f"cannot subtract empty or negative span [{start!r}, {end!r})"
-            )
-        columns = self._columns
-        uid = resource.uid
-        starts, ends, uids = columns.starts, columns.ends, columns.uids
-        for position in range(len(starts)):
-            if starts[position] > start:
-                break
-            if uids[position] == uid and ends[position] >= end:
-                candidate = self._slot_of(columns.row_at(position))
-                key = (candidate.start, candidate.end, uid)
-                columns.delete_at(position)
-                replacements: list[Row] = []
-                if start > candidate.start:
-                    row: Row = (
-                        candidate.start,
-                        start,
-                        uid,
-                        resource.performance,
-                        candidate.price,
-                    )
-                    columns.insert_row(row)
-                    replacements.append(row)
-                if candidate.end > end:
-                    row = (end, candidate.end, uid, resource.performance, candidate.price)
-                    columns.insert_row(row)
-                    replacements.append(row)
-                self._journal(
-                    (key, resource.performance, candidate.price, replacements)
-                )
-                return candidate
-        raise SlotListError(
-            f"no vacant slot on {resource.name!r} contains span [{start:g}, {end:g})"
-        )
+            self._ops.append((key, resource.performance, source.price, replacements))
 
 
 def _remove_ranked(

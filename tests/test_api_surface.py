@@ -8,9 +8,12 @@ like any other.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +114,34 @@ def test_public_methods_documented():
 
 def test_version_string():
     assert repro.__version__.count(".") == 2
+
+
+def _third_party_import_roots() -> set[str]:
+    """Root names of every absolute import under ``src/repro`` that is
+    neither stdlib nor the package itself."""
+    roots: set[str] = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+                names = [node.module]
+            else:
+                continue
+            roots.update(name.partition(".")[0] for name in names)
+    return roots - set(sys.stdlib_module_names) - {"repro"}
+
+
+def test_declared_dependencies_cover_imports():
+    """Every third-party package the program imports is a declared
+    runtime dependency, so an install from ``pyproject.toml`` alone can
+    import it."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    declared = {
+        re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
+        for requirement in project.get("dependencies", [])
+    }
+    missing = sorted(_third_party_import_roots() - declared)
+    assert not missing, f"imported but not in [project].dependencies: {missing}"

@@ -4,8 +4,8 @@ The load-bearing property is **mask/kernel parity**: the vectorized
 survivor mask of :meth:`ColumnStore.survivors` must be bit-for-bit
 interchangeable with mapping the scalar :func:`static_survivor` kernel
 over every row — same survivor set, same precomputed runtimes — because
-the index builds its memos through either form depending on whether numpy is present and whether the memo is
-being built (vectorized) or maintained (scalar).
+the index builds its memos through the vectorized mask and maintains
+them across commits through the scalar kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-import repro.core.columns as columns_module
 from repro.core.columns import ColumnStore, Row, static_survivor
 
 
@@ -33,7 +32,7 @@ def random_rows(seed: int, count: int = 60) -> list[Row]:
 
 def all_rows(store: ColumnStore) -> list[Row]:
     """All rows of ``store`` in scan order."""
-    return [store.row_at(position) for position in range(len(store))]
+    return list(zip(store.starts, store.ends, store.uids, store.perfs, store.prices))
 
 
 def scalar_survivors(
@@ -70,11 +69,8 @@ class TestMaskKernelParity:
         assert len(entries) == len(store)
         assert all(entry[5] == 0.0 for entry in entries)
 
-    def test_scalar_fallback_without_numpy(self, monkeypatch):
-        store = ColumnStore(random_rows(7))
-        vectorized = store.survivors(40.0, 1.2, 4.0)
-        monkeypatch.setattr(columns_module, "_np", None)
-        assert store.survivors(40.0, 1.2, 4.0) == vectorized
+    def test_empty_store_has_no_survivors(self):
+        assert ColumnStore().survivors(10.0, 1.0, None) == []
 
 
 class TestStoreMutation:
@@ -92,8 +88,8 @@ class TestStoreMutation:
         store = ColumnStore([(0.0, 10.0, 1, 1.0, 1.0), (5.0, 15.0, 2, 1.0, 1.0)])
         position = store.bisect_key((5.0, 15.0, 2))
         assert store.delete_at(position) == (5.0, 15.0, 2, 1.0, 1.0)
-        assert store.find_same_uid_overlap(5.0, 15.0, 2) is None
-        assert store.find_same_uid_overlap(5.0, 15.0, 1) == (0.0, 10.0)
+        assert 2 not in store.uids
+        assert all_rows(store) == [(0.0, 10.0, 1, 1.0, 1.0)]
 
     def test_bisect_key_matches_list_semantics(self):
         store = ColumnStore(random_rows(5))
@@ -101,59 +97,3 @@ class TestStoreMutation:
             key = (row[0], row[1], row[2])
             assert store.key_at(store.bisect_key(key)) == key
         assert store.bisect_key((float("inf"), 0.0, 0)) == len(store)
-
-
-class TestSameUidOverlap:
-    def overlap_exists(self, store: ColumnStore, start, end, uid) -> bool:
-        return any(
-            row[2] == uid and row[0] < end and row[1] > start
-            for row in all_rows(store)
-        )
-
-    def test_absent_uid_short_circuits(self):
-        store = ColumnStore(random_rows(2))
-        assert store.find_same_uid_overlap(0.0, 1e9, 12345) is None
-
-    def test_touching_spans_do_not_overlap(self):
-        store = ColumnStore([(0.0, 10.0, 1, 1.0, 1.0), (20.0, 30.0, 1, 1.0, 1.0)])
-        assert store.find_same_uid_overlap(10.0, 20.0, 1) is None
-        assert store.find_same_uid_overlap(30.0, 40.0, 1) is None
-        assert store.find_same_uid_overlap(0.0, 0.0 + 1e-9, 1) == (0.0, 10.0)
-
-    def test_row_reaching_past_insertion_point_is_found(self):
-        # The overlapping row starts before the probe span, so only the
-        # leftward walk can find it.
-        store = ColumnStore(
-            [(0.0, 50.0, 1, 1.0, 1.0), (5.0, 6.0, 2, 1.0, 1.0), (7.0, 8.0, 3, 1.0, 1.0)]
-        )
-        assert store.find_same_uid_overlap(10.0, 20.0, 1) == (0.0, 50.0)
-
-    @pytest.mark.parametrize("seed", range(15))
-    def test_matches_linear_reference_on_disjoint_rows(self, seed):
-        # Same-uid rows kept disjoint, as the index invariant guarantees.
-        rng = random.Random(seed)
-        rows: list[Row] = []
-        for uid in range(6):
-            cursor = rng.uniform(0.0, 5.0)
-            for _ in range(rng.randint(1, 5)):
-                length = rng.uniform(0.5, 10.0)
-                rows.append((cursor, cursor + length, uid, 1.0, 1.0))
-                cursor += length + rng.uniform(0.0, 4.0)
-        store = ColumnStore(rows)
-        for _ in range(60):
-            start = rng.uniform(-5.0, 60.0)
-            end = start + rng.uniform(0.1, 15.0)
-            uid = rng.randint(0, 7)
-            found = store.find_same_uid_overlap(start, end, uid)
-            # The bisected probe must agree with the linear reference on
-            # *existence*; when it reports a hit, the witness span must be
-            # a genuine same-uid overlap (any such row is acceptable).
-            if self.overlap_exists(store, start, end, uid):
-                assert found is not None
-                witness_start, witness_end = found
-                assert witness_start < end and witness_end > start
-                assert (witness_start, witness_end) in {
-                    (row[0], row[1]) for row in all_rows(store) if row[2] == uid
-                }
-            else:
-                assert found is None

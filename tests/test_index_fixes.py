@@ -1,14 +1,8 @@
-"""Regression tests for the index-mutation edge cases of this PR.
+"""Regression tests for two slot-search edge cases.
 
-Covers the three satellite fixes:
-
-* zero-width ``subtract`` spans are rejected by :class:`SlotList` and
-  :class:`SlotIndex` alike (previously ``end == start`` slipped past an
-  ``end < start`` guard and fragmented the containing slot);
-* the ``insert`` same-resource overlap check bisects to the insertion
-  neighbourhood instead of scanning the whole row prefix (behavioral
-  equivalence is pinned here on the crafted cases; the revocation-churn
-  oracle covers it at scale);
+* zero-width ``subtract`` spans are rejected by :class:`SlotList`
+  (previously ``end == start`` slipped past an ``end < start`` guard and
+  fragmented the containing slot);
 * the finders count *both* start-hint prune tiers while they scan
   (``last_hint_skips`` for ``end <= start_hint``, ``last_runtime_skips``
   for ``end - start_hint < runtime``), so the counts describe the scan
@@ -37,7 +31,6 @@ from tests.conftest import (
     make_random_batch,
     make_random_slot_list,
     make_resource,
-    make_uniform_slots,
 )
 
 
@@ -49,7 +42,7 @@ def _restore_telemetry():
 
 
 class TestZeroWidthSubtract:
-    @pytest.mark.parametrize("container", [SlotList, SlotIndex])
+    @pytest.mark.parametrize("container", [SlotList])
     def test_zero_width_span_rejected(self, container):
         resource = make_resource("n0")
         slots = container([Slot(resource, 0.0, 100.0)])
@@ -59,7 +52,7 @@ class TestZeroWidthSubtract:
         # fragmented [0, 100) into [0, 40) + [40, 100).
         assert [(s.start, s.end) for s in slots] == [(0.0, 100.0)]
 
-    @pytest.mark.parametrize("container", [SlotList, SlotIndex])
+    @pytest.mark.parametrize("container", [SlotList])
     def test_negative_span_still_rejected(self, container):
         resource = make_resource("n0")
         slots = container([Slot(resource, 0.0, 100.0)])
@@ -71,37 +64,10 @@ class TestZeroWidthSubtract:
         # deleted the slot and re-inserted it as one zero-width row plus
         # the original span.
         resource = make_resource("n0")
-        index = SlotIndex([Slot(resource, 10.0, 100.0)])
+        slots = SlotList([Slot(resource, 10.0, 100.0)])
         with pytest.raises(SlotListError, match="empty or negative span"):
-            index.subtract(resource, 10.0, 10.0)
-        assert len(index) == 1
-
-
-def slot_list_of(index: SlotIndex) -> list[tuple[float, float]]:
-    return [(s.start, s.end) for s in index.slot_list()]
-
-
-class TestInsertBisection:
-    def test_overlap_with_row_starting_before_span(self):
-        resource = make_resource("n0")
-        index = SlotIndex(
-            [Slot(resource, 0.0, 50.0)]
-            + list(make_uniform_slots(3, start=5.0, length=1.0))
-        )
-        with pytest.raises(SlotListError, match="overlaps"):
-            index.insert(Slot(resource, 20.0, 30.0))
-
-    def test_touching_spans_insert_cleanly(self):
-        resource = make_resource("n0")
-        index = SlotIndex([Slot(resource, 0.0, 10.0), Slot(resource, 20.0, 30.0)])
-        index.insert(Slot(resource, 10.0, 20.0))
-        assert slot_list_of(index) == [(0.0, 10.0), (10.0, 20.0), (20.0, 30.0)]
-
-    def test_insert_brand_new_resource_among_many(self):
-        index = SlotIndex(make_uniform_slots(10, start=0.0, length=100.0))
-        fresh = make_resource("late")
-        index.insert(Slot(fresh, 5.0, 25.0))
-        assert (5.0, 25.0) in slot_list_of(index)
+            slots.subtract(resource, 10.0, 10.0)
+        assert len(slots) == 1
 
 
 def pinned_environment() -> tuple[SlotIndex, ResourceRequest]:

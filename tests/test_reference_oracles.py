@@ -13,9 +13,11 @@ identical window sets — same alternatives, same pass counts, same
 remaining slots — and identical phase-2 DP selections, across hundreds
 of random instances.  This is the equivalence-testing policy of
 docs/benchmarks.md: any future fast path must ship with tests of this
-shape before it may become the default.
+shape before it may become the default.  The *re-search* differential
+extends it to the revocation path: ``RecoveryManager.research`` on a
+seeded VO with outages must pick the reference finder's window.
 
-The third section is the *seed-sharded series* suite.  Phase 1 runs
+The last section is the *seed-sharded series* suite.  Phase 1 runs
 serially; parallelism lives one level up, where
 :class:`repro.sim.experiment.ParallelRunner` cuts a seeded series into
 contiguous spans that worker processes regenerate from per-iteration
@@ -35,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Criterion,
+    Job,
     ResourceRequest,
     Slot,
     SlotIndex,
@@ -47,6 +50,7 @@ from repro.core import (
     vo_budget,
 )
 from repro.core import alp, amp
+from repro.grid import ClusterSpec, LocalJobFlow, RecoveryManager, VOEnvironment
 from repro.sim import ExperimentConfig, ParallelRunner
 from repro.sim.experiment import _run_span, _shard_spans, generate_iteration
 from repro.sim.stats import merge_results
@@ -289,88 +293,100 @@ def test_indexed_single_find_matches_reference_finders():
             assert _window_fingerprint(fast) == _window_fingerprint(reference)
 
 
-def test_indexed_find_with_stale_hints_after_reinsertion():
-    """Re-inserted vacant time breaks start-hint monotonicity; the clamp
-    must keep hinted finds identical to a fresh reference scan.
+# --------------------------------------------------------------------- #
+# Re-search: RecoveryManager.research vs the reference finders          #
+# --------------------------------------------------------------------- #
+#
+# A revoked job is re-searched on a freshly published slot list, after
+# the revocation has returned its vacant time to the node schedules.
+# The index must never carry a start hint across that publication.
 
-    Models the hot-swap/outage life cycle: windows are committed (and a
-    ``start_hint`` carried forward, as the multi-pass search does), then
-    an *older* window is revoked and its spans re-inserted — so the
-    carried hint is now strictly past vacant time that can host an
-    earlier window.  Without :class:`SlotIndex`'s hint clamping the
-    indexed finder would skip it and diverge from the reference scan of
-    the same materialised list.
-    """
-    churned = 0
-    for seed in range(60):
-        slots = make_random_slot_list(seed, count=30)
-        rng = random.Random(seed * 17 + 3)
+RESEARCH_HORIZON = 400.0
+RESEARCH_MIN_SLOT = 15.0
+
+
+def _research_environment(seed: int) -> tuple[VOEnvironment, random.Random, int]:
+    """A seeded two-cluster VO with local occupancy, committed global
+    windows and outages, some of which revoke those windows; also
+    returns the number of revoked jobs."""
+    rng = random.Random(seed)
+    environment = VOEnvironment.generate(
+        [ClusterSpec("a", 6), ClusterSpec("b", 5)], seed=seed
+    )
+    flow = LocalJobFlow(seed=seed)
+    for cluster in environment.clusters:
+        flow.occupy(cluster, 0.0, 3 * RESEARCH_HORIZON)
+    committed = []
+    for number in range(3):
         request = make_random_request(rng)
-        index = SlotIndex(slots)
-        hint = float("-inf")
-        committed: list = []
-        for _ in range(5):
-            window = index.find_alp_window(request, start_hint=hint)
-            reference = alp.find_window(index.slot_list(), request)
-            assert (window is None) == (reference is None), f"seed={seed}"
-            if window is None:
-                break
-            assert _window_fingerprint(window) == _window_fingerprint(reference), (
-                f"divergence on seed={seed}"
-            )
-            index.commit(window)
+        window = alp.find_window(
+            environment.vacant_slot_list(0.0, 2 * RESEARCH_HORIZON), request
+        )
+        if window is not None:
+            environment.commit_window(f"g{number}", window)
             committed.append(window)
-            hint = window.start
-            if len(committed) > 1 and rng.random() < 0.6:
-                revoked = committed.pop(0)
-                for allocation in revoked.allocations:
-                    index.insert(
-                        Slot(
-                            allocation.resource,
-                            allocation.start,
-                            allocation.end,
-                            allocation.unit_price,
-                        )
-                    )
-                churned += 1
-    assert churned >= 10, f"too few revocation churns exercised ({churned})"
+    nodes = list(environment.nodes())
+    revoked = 0
+    for _ in range(rng.randint(1, 4)):
+        if committed and rng.random() < 0.6:
+            # Hit a committed window so the outage revokes its job.
+            allocation = rng.choice(rng.choice(committed).allocations)
+            node = environment.node_for(allocation.resource.uid)
+            start = allocation.start + rng.uniform(0.0, 0.5) * (
+                allocation.end - allocation.start
+            )
+        else:
+            node = rng.choice(nodes)
+            start = rng.uniform(0.0, 2 * RESEARCH_HORIZON)
+        revoked += len(
+            environment.inject_outage(node, start, start + rng.uniform(10.0, 120.0))
+        )
+    return environment, rng, revoked
 
 
-# --------------------------------------------------------------------- #
-# Column-path oracle: vectorized masks vs scalar fallback               #
-# --------------------------------------------------------------------- #
-
-
+@pytest.mark.parametrize("rho", [1.0, 0.8])
 @pytest.mark.parametrize(
     "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
 )
-def test_column_scalar_fallback_matches_vectorized(algorithm, monkeypatch):
-    """The numpy-less scalar kernel is a drop-in for the vectorized masks.
-
-    :mod:`repro.core.columns` builds survivor memos through numpy masks
-    when available and through the scalar :func:`static_survivor` kernel
-    otherwise; the indexed search must not care which one ran.  Disable
-    numpy for the module and require byte-identical multi-pass results —
-    this is the column-path analogue of the indexed-vs-naive suite above.
-    """
-    import repro.core.columns as columns_module
-
+def test_research_matches_reference_finders(algorithm, rho):
+    """``RecoveryManager.research`` returns the window the reference
+    finder picks on the same published list, or agrees there is none."""
+    found = missed = revocations = 0
     for seed in range(40):
-        # One instance, three runs: resource uids are minted per slot
-        # list, so all paths must scan the *same* objects to compare.
-        slots = make_random_slot_list(seed, count=40)
-        batch = make_random_batch(seed)
-        naive = find_alternatives(slots, batch, algorithm, use_index=False)
-        vectorized = find_alternatives(slots, batch, algorithm, use_index=True)
-        with monkeypatch.context() as patch:
-            patch.setattr(columns_module, "_np", None)
-            scalar = find_alternatives(slots, batch, algorithm, use_index=True)
-        assert _search_fingerprint(scalar) == _search_fingerprint(vectorized), (
-            f"scalar fallback diverged from vectorized on seed={seed}"
-        )
-        assert _search_fingerprint(scalar) == _search_fingerprint(naive), (
-            f"scalar fallback diverged from naive reference on seed={seed}"
-        )
+        environment, rng, revoked = _research_environment(seed)
+        revocations += revoked
+        manager = RecoveryManager()
+        for number in range(4):
+            job = Job(make_random_request(rng), name=f"r{number}")
+            now = rng.uniform(0.0, RESEARCH_HORIZON)
+            window = manager.research(
+                job,
+                environment,
+                now,
+                horizon=RESEARCH_HORIZON,
+                min_slot_length=RESEARCH_MIN_SLOT,
+                algorithm=algorithm,
+                rho=rho,
+            )
+            slots = environment.vacant_slot_list(
+                now, now + RESEARCH_HORIZON, min_length=RESEARCH_MIN_SLOT
+            )
+            if algorithm is SlotSearchAlgorithm.AMP:
+                reference = amp.find_window(
+                    slots, job.request, budget=job.request.scaled_budget(rho)
+                )
+            else:
+                reference = alp.find_window(slots, job.request)
+            assert (window is None) == (reference is None), f"seed={seed}"
+            if reference is None:
+                missed += 1
+                continue
+            found += 1
+            assert _window_fingerprint(window) == _window_fingerprint(reference), (
+                f"divergence on seed={seed}"
+            )
+    assert found >= 20 and missed >= 5, (found, missed)
+    assert revocations >= 20, f"too few revocations exercised ({revocations})"
 
 
 # --------------------------------------------------------------------- #
@@ -496,20 +512,3 @@ def test_sharded_search_matches_serial_scaled_budget():
     config = dataclasses.replace(SHARD_SERIES, rho=0.5)
     serial, sharded = _sharded_series_fingerprints(config, SlotSearchAlgorithm.AMP, 3)
     assert sharded == serial, "divergence at rho=0.5"
-
-
-def test_column_scalar_fallback_matches_serial_sharded(monkeypatch):
-    """Shards searched through the scalar column kernel reproduce the
-    vectorized serial series."""
-    import repro.core.columns as columns_module
-
-    for algorithm in (SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP):
-        serial = _span_search_fingerprints(
-            SHARD_SERIES, algorithm, 0, SHARD_SERIES.iterations
-        )
-        with monkeypatch.context() as patch:
-            patch.setattr(columns_module, "_np", None)
-            _, sharded = _sharded_series_fingerprints(SHARD_SERIES, algorithm, 3)
-        assert sharded == serial, (
-            f"scalar shards diverged from vectorized serial, algorithm={algorithm.value}"
-        )

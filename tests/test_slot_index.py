@@ -2,7 +2,7 @@
 
 The differential suite in ``test_reference_oracles.py`` proves the
 indexed finders equivalent to the reference scans; these tests cover the
-index's own container contract and its mutation error paths, which the
+index's own container contract and its commit error path, which the
 happy-path equivalence runs never hit.
 """
 
@@ -16,7 +16,6 @@ from repro.core import alp
 from tests.conftest import (
     make_random_batch,
     make_random_slot_list,
-    make_resource,
     make_uniform_slots,
 )
 
@@ -73,108 +72,6 @@ class TestCommit:
             assert reference is not None
             assert reference.start == window.start
             index.commit(window)
-
-
-class TestInsert:
-    def test_insert_restores_subtracted_span(self):
-        slots = make_uniform_slots(1, start=0.0, length=100.0)
-        index = SlotIndex(slots)
-        victim = list(slots)[0]
-        removed = index.subtract(victim.resource, 20.0, 60.0)
-        # The index stores primitive rows, not Slot objects, so the
-        # subtracted slot comes back as a value-equal reconstruction.
-        assert removed == victim
-        from repro.core import Slot
-
-        index.insert(Slot(victim.resource, 20.0, 60.0, victim.price))
-        assert [(s.start, s.end) for s in index] == [
-            (0.0, 20.0),
-            (20.0, 60.0),
-            (60.0, 100.0),
-        ]
-
-    def test_insert_overlapping_same_resource_raises(self):
-        slots = make_uniform_slots(1, start=0.0, length=100.0)
-        index = SlotIndex(slots)
-        victim = list(slots)[0]
-        from repro.core import Slot
-
-        with pytest.raises(SlotListError):
-            index.insert(Slot(victim.resource, 50.0, 150.0, victim.price))
-
-    def test_stale_hint_clamped_after_insert(self):
-        # Regression for start_hint monotonicity: subtraction-only
-        # mutation lets a caller reuse the previous window's start as a
-        # hint, but re-inserting vacant time (hot-swap revocation, outage
-        # cancellation) can make *earlier* events feasible again.  A
-        # stale hint must not hide them.
-        slots = make_uniform_slots(1, start=0.0, length=100.0)
-        index = SlotIndex(slots)
-        request = ResourceRequest(node_count=1, volume=40.0, max_price=2.0)
-        first = index.find_alp_window(request)
-        assert first.start == 0.0
-        index.commit(first)  # vacant time is now [40, 100)
-        second = index.find_alp_window(request, start_hint=first.start)
-        assert second.start == 40.0
-        # The committed window is revoked: its span returns to the list.
-        from repro.core import Slot
-
-        victim = first.allocations[0]
-        index.insert(Slot(victim.resource, victim.start, victim.end, victim.unit_price))
-        # With the (now stale) hint of the later window, the finder must
-        # still see the re-inserted earlier vacancy.
-        again = index.find_alp_window(request, start_hint=second.start)
-        assert again is not None
-        assert again.start == 0.0
-
-    def test_hint_clamp_matches_reference_scan(self):
-        index = SlotIndex(make_random_slot_list(5, count=20))
-        request = ResourceRequest(node_count=2, volume=50.0, max_price=5.0)
-        window = index.find_alp_window(request)
-        assert window is not None
-        index.commit(window)
-        from repro.core import Slot
-
-        for allocation in window.allocations:
-            index.insert(
-                Slot(
-                    allocation.resource,
-                    allocation.start,
-                    allocation.end,
-                    allocation.unit_price,
-                )
-            )
-        hinted = index.find_alp_window(request, start_hint=1e9)
-        reference = alp.find_window(index.slot_list(), request)
-        assert (hinted is None) == (reference is None)
-        if hinted is not None:
-            assert hinted.start == reference.start
-
-
-class TestSubtract:
-    def test_parity_with_slot_list_subtract(self):
-        slots = make_random_slot_list(21, count=12)
-        index = SlotIndex(slots)
-        reference = slots.copy()
-        victim = list(slots)[0]
-        span = (victim.start + 1.0, victim.end - 1.0)
-        index.subtract(victim.resource, *span)
-        reference.subtract(victim.resource, *span)
-        assert [(s.resource.uid, s.start, s.end) for s in index] == [
-            (s.resource.uid, s.start, s.end) for s in reference
-        ]
-
-    def test_subtract_missing_span_raises(self):
-        index = SlotIndex(make_uniform_slots(1, start=0.0, length=10.0))
-        stranger = make_resource("stranger")
-        with pytest.raises(SlotListError):
-            index.subtract(stranger, 0.0, 5.0)
-
-    def test_subtract_negative_span_raises(self):
-        slots = make_uniform_slots(1, start=0.0, length=10.0)
-        index = SlotIndex(slots)
-        with pytest.raises(SlotListError):
-            index.subtract(list(slots)[0].resource, 6.0, 4.0)
 
 
 class _CountingEntries(list):
