@@ -7,7 +7,8 @@ Subcommands:
 * ``example``    — replay the Section 4 worked example with a Gantt
   chart of the alternatives found;
 * ``figures``    — regenerate one specific paper figure (4, 5 or 6);
-* ``complexity`` — time ALP/AMP vs backfilling over growing slot lists;
+* ``complexity`` — time ALP/AMP vs backfilling over growing slot lists
+  (worst-case scans, best of ``--repeats``);
 * ``vo``         — run the iterative metascheduler against a synthetic
   virtual organization and print the workload-trace summary;
 * ``stats``      — render the summary of saved telemetry trace(s);
@@ -43,7 +44,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -58,15 +58,7 @@ from repro.core import (
     SchedulingError,
     SlotSearchAlgorithm,
 )
-from repro.core import alp as alp_module
-from repro.core import amp as amp_module
-from repro.sim import (
-    ExperimentConfig,
-    ExperimentRunner,
-    JobGenerator,
-    SlotGenerator,
-    SlotGeneratorConfig,
-)
+from repro.sim import ExperimentConfig, ExperimentRunner, JobGenerator
 
 __all__ = ["main", "build_parser"]
 
@@ -243,28 +235,15 @@ def _cmd_example(args: argparse.Namespace) -> int:
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
-    from repro.baselines import backfill_find_window
-    from repro.core import ResourceRequest
     from repro.sim import table
+    from repro.sim.reporting import complexity_sweep
 
-    rows = []
-    for count in args.sizes:
-        config = SlotGeneratorConfig(slot_count_range=(count, count))
-        slots = SlotGenerator(config, seed=args.seed).generate()
-        request = ResourceRequest(node_count=4, volume=100.0, max_price=4.0)
-        timings = {}
-        for label, finder in (
-            ("ALP", lambda s, r: alp_module.find_window(s, r)),
-            ("AMP", lambda s, r: amp_module.find_window(s, r)),
-            ("backfill", backfill_find_window),
-        ):
-            started = time.perf_counter()
-            for _ in range(args.repeats):
-                finder(slots, request)
-            timings[label] = (time.perf_counter() - started) / args.repeats
-        rows.append(
-            [str(count)] + [f"{timings[name] * 1e3:.3f}" for name in ("ALP", "AMP", "backfill")]
-        )
+    points = complexity_sweep(tuple(args.sizes), seed=args.seed, repeats=args.repeats)
+    seconds = {(point.algorithm, point.slots): point.seconds for point in points}
+    rows = [
+        [str(size)] + [f"{seconds[name, size] * 1e3:.3f}" for name in ("ALP", "AMP", "backfill")]
+        for size in args.sizes
+    ]
     print(table(rows, header=["slots", "ALP ms", "AMP ms", "backfill ms"]))
     return 0
 

@@ -70,7 +70,6 @@ from repro.core.audit import (
     require_valid,
 )
 from repro.core.coschedule import BatchAssignment, BatchStrategy, coallocate_batch
-from repro.core.multicriteria import ParetoPoint, minimize_weighted, pareto_front
 from repro.core.pricing import BudgetPolicy, DemandAdjustedPricing, ExponentialPricing
 from repro.core.resource import DEFAULT_PRICE_BASE, Resource, price_of_performance
 from repro.core.serialize import (
@@ -144,9 +143,6 @@ __all__ = [
     "BatchStrategy",
     "BatchAssignment",
     "coallocate_batch",
-    "ParetoPoint",
-    "pareto_front",
-    "minimize_weighted",
     # timeline diagnostics
     "StepFunction",
     "SupplySummary",

@@ -61,13 +61,6 @@ from repro.grid.resilience import (
     apply_slot_outages,
     derive_node_seed,
 )
-from repro.grid.swf import (
-    SwfImportPolicy,
-    SwfImportResult,
-    parse_swf,
-    read_swf,
-    write_swf,
-)
 from repro.grid.trace import JobRecord, JobState, TraceSummary, WorkloadTrace
 
 __all__ = [
@@ -83,11 +76,6 @@ __all__ = [
     "SimulationDriver",
     "SimulationEvent",
     "EventKind",
-    "SwfImportPolicy",
-    "SwfImportResult",
-    "parse_swf",
-    "read_swf",
-    "write_swf",
     "OwnerStatement",
     "OwnerLine",
     "UserStatement",

@@ -35,10 +35,9 @@ rules are one class each (:mod:`repro.lint.rules`,
 :mod:`repro.lint.flowrules`), findings print as
 ``file:line:col CODE message`` (or SARIF 2.1.0 via ``--format sarif``),
 and ``# repro-lint: disable=...`` comments suppress line- or file-wide
-(and are counted).  ``--changed-only`` scopes reporting to the git
-diff; ``--cache`` makes reruns incremental.  See
-``docs/static-analysis.md`` for the full rule catalog, the
-whole-program model and its conservatisms, and the suppression policy.
+(and are counted).  See ``docs/static-analysis.md`` for the full rule
+catalog, the whole-program model and its conservatisms, and the
+suppression policy.
 """
 
 from repro.lint.base import (
@@ -50,7 +49,6 @@ from repro.lint.base import (
     module_key,
     parse_suppressions,
 )
-from repro.lint.cache import LintCache
 from repro.lint.engine import (
     DEFAULT_RULES,
     LintReport,
@@ -93,7 +91,6 @@ __all__ = [
     # engine
     "DEFAULT_RULES",
     "LintReport",
-    "LintCache",
     "lint_source",
     "lint_sources",
     "lint_file",

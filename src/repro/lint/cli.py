@@ -4,29 +4,22 @@ Exit codes follow the usual linter contract:
 
 * ``0`` — every checked file is clean (suppressed findings are fine);
 * ``1`` — at least one active finding;
-* ``2`` — usage error (unknown rule code, missing path, git failure).
+* ``2`` — usage error (unknown rule code, missing path).
 
 Findings go to stdout as ``file:line:col CODE message`` (one per line,
 machine-parseable); the summary goes to stderr so piping stdout into
 another tool stays clean.  ``--format sarif`` swaps the finding lines
 for a SARIF 2.1.0 document (CI artifact); ``--output`` redirects either
-format to a file.  ``--changed-only`` still analyses the *whole* tree —
-flow rules need every module to resolve reachability — but reports only
-findings in files touched relative to ``--diff-base`` (plus untracked
-files), which is the pre-commit sweet spot; pair it with ``--cache`` so
-the unchanged majority is never re-parsed.
+format to a file.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
-from pathlib import Path
 from typing import Sequence, TextIO
 
 from repro.lint.base import Rule
-from repro.lint.cache import LintCache
 from repro.lint.engine import DEFAULT_RULES, LintReport, lint_paths
 from repro.lint.rules import rules_by_code
 from repro.lint.sarif import render_sarif
@@ -81,25 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write findings/SARIF to FILE instead of stdout",
     )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "report findings only for files changed vs --diff-base or "
-            "untracked (the whole tree is still analysed)"
-        ),
-    )
-    parser.add_argument(
-        "--diff-base",
-        metavar="REF",
-        default="HEAD",
-        help="git ref --changed-only diffs against (default: HEAD)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        help="content-hash incremental cache file (created when absent)",
-    )
     return parser
 
 
@@ -138,53 +112,6 @@ def _print_summary(report: LintReport, statistics: bool, stream: TextIO) -> None
             stream.write(f"  {code}: {counts[code]}\n")
 
 
-def _changed_files(diff_base: str) -> set[Path]:
-    """Absolute paths changed vs ``diff_base`` plus untracked files.
-
-    Raises:
-        OSError: When git is unavailable or the diff fails (surfaced as
-            a usage error by :func:`main`).
-    """
-    root_proc = subprocess.run(
-        ["git", "rev-parse", "--show-toplevel"],
-        capture_output=True,
-        text=True,
-    )
-    if root_proc.returncode != 0:
-        raise OSError(f"not a git checkout: {root_proc.stderr.strip()}")
-    root = Path(root_proc.stdout.strip())
-    changed: set[Path] = set()
-    for arguments in (
-        ["git", "diff", "--name-only", diff_base, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        proc = subprocess.run(arguments, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise OSError(
-                f"{' '.join(arguments)} failed: {proc.stderr.strip()}"
-            )
-        for line in proc.stdout.splitlines():
-            if line.strip():
-                changed.add((root / line.strip()).resolve())
-    return changed
-
-
-def _restrict_to_changed(report: LintReport, changed: set[Path]) -> LintReport:
-    """The report filtered to findings inside the changed-file set."""
-    filtered = LintReport(files_checked=report.files_checked)
-    filtered.findings = [
-        finding
-        for finding in report.findings
-        if Path(finding.path).resolve() in changed
-    ]
-    filtered.suppressed = [
-        finding
-        for finding in report.suppressed
-        if Path(finding.path).resolve() in changed
-    ]
-    return filtered
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the linter; returns the process exit code."""
     parser = build_parser()
@@ -198,21 +125,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         known = ",".join(sorted(rules_by_code()))
         sys.stderr.write(f"repro-lint: unknown rule code {error.args[0]} (known: {known})\n")
         return 2
-    cache = LintCache(args.cache) if args.cache else None
     try:
-        report = lint_paths(args.paths, rules, cache=cache)
+        report = lint_paths(args.paths, rules)
     except FileNotFoundError as error:
         sys.stderr.write(f"repro-lint: {error}\n")
         return 2
-    if cache is not None:
-        cache.save()
-    if args.changed_only:
-        try:
-            changed = _changed_files(args.diff_base)
-        except OSError as error:
-            sys.stderr.write(f"repro-lint: --changed-only: {error}\n")
-            return 2
-        report = _restrict_to_changed(report, changed)
     selected_for_catalog = rules if rules is not None else list(DEFAULT_RULES)
     if args.output:
         destination: TextIO = open(args.output, "w", encoding="utf-8")

@@ -13,10 +13,7 @@ Two rule families run over one file set:
 
 Suppressions apply identically to both: a ``# repro-lint: disable=``
 directive trailing code silences that line, a directive on a line of
-its own silences the listed codes for the whole file.  With a
-:class:`~repro.lint.cache.LintCache`, per-module results are reused for
-unchanged files and the whole-program result is reused when *no* file
-changed (one edit anywhere can change reachability everywhere).
+its own silences the listed codes for the whole file.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from repro.lint.base import (
     file_suppressions,
     parse_suppressions,
 )
-from repro.lint.cache import CACHE_VERSION, LintCache, source_digest
 from repro.lint.flowrules import FLOW_RULES
 from repro.lint.project import Project
 from repro.lint.rules import ALL_RULES
@@ -97,11 +93,6 @@ def _instantiate(rules: Sequence[Rule | type[Rule]] | None) -> list[Rule]:
     return [rule() if isinstance(rule, type) else rule for rule in chosen]
 
 
-def _signature(rules: Sequence[Rule]) -> str:
-    """Cache signature of a rule set (see :data:`~repro.lint.cache.CACHE_VERSION`)."""
-    return f"v{CACHE_VERSION}:" + ",".join(sorted(rule.code for rule in rules))
-
-
 class _Suppressions:
     """Line- and file-scoped suppression directives of one source file."""
 
@@ -112,6 +103,15 @@ class _Suppressions:
     def silences(self, finding: Finding) -> bool:
         allowed = self.by_line.get(finding.line, set()) | self.file_wide
         return finding.code.upper() in allowed or SUPPRESS_ALL in allowed
+
+
+def _record(
+    report: LintReport, finding: Finding, suppressions: _Suppressions | None
+) -> None:
+    if suppressions is not None and suppressions.silences(finding):
+        report.suppressed.append(finding)
+    else:
+        report.findings.append(finding)
 
 
 def _syntax_finding(path: str, error: SyntaxError) -> Finding:
@@ -127,105 +127,42 @@ def _syntax_finding(path: str, error: SyntaxError) -> Finding:
 def lint_sources(
     files: Sequence[tuple[str, str]],
     rules: Sequence[Rule | type[Rule]] | None = None,
-    *,
-    cache: LintCache | None = None,
 ) -> LintReport:
     """Lint ``(path, source)`` pairs as one run (the engine core).
 
     Paths drive rule scoping and cross-module naming (see
     :func:`repro.lint.base.module_key`); files that do not parse yield
     one :data:`SYNTAX_ERROR_CODE` finding each and are excluded from the
-    whole-program stage.  ``cache`` (optional) short-circuits unchanged
-    files and, when nothing at all changed, the whole-program stage.
+    whole-program stage.
     """
     instantiated = _instantiate(rules)
     module_rules = [r for r in instantiated if not isinstance(r, ProjectRule)]
     project_rules = [r for r in instantiated if isinstance(r, ProjectRule)]
-    module_signature = _signature(module_rules)
-    project_signature = _signature(project_rules)
     report = LintReport()
-    trees: dict[str, ast.Module | None] = {}
-    sources: dict[str, str] = {}
-    digests: list[tuple[str, str]] = []
+    parsed: list[tuple[str, str, ast.Module]] = []
+    suppression_maps: dict[str, _Suppressions] = {}
 
     for path, source in files:
         report.files_checked += 1
-        sources[path] = source
-        digest = source_digest(source) if cache is not None else ""
-        if cache is not None:
-            digests.append((path, digest))
-            cached = cache.load_file(path, digest, module_signature)
-            if cached is not None:
-                report.findings.extend(cached[0])
-                report.suppressed.extend(cached[1])
-                continue
         try:
             tree = ast.parse(source)
         except SyntaxError as error:
-            finding = _syntax_finding(path, error)
-            report.findings.append(finding)
-            trees[path] = None
-            if cache is not None:
-                cache.store_file(path, digest, module_signature, [finding], [])
+            report.findings.append(_syntax_finding(path, error))
             continue
-        trees[path] = tree
+        parsed.append((path, source, tree))
         module = ModuleContext(path, source, tree)
-        suppressions = _Suppressions(source)
-        active: list[Finding] = []
-        silenced: list[Finding] = []
+        suppressions = suppression_maps[path] = _Suppressions(source)
         for rule in module_rules:
             if not rule.applies_to(module):
                 continue
             for finding in rule.check(module):
-                (silenced if suppressions.silences(finding) else active).append(
-                    finding
-                )
-        report.findings.extend(active)
-        report.suppressed.extend(silenced)
-        if cache is not None:
-            cache.store_file(path, digest, module_signature, active, silenced)
+                _record(report, finding, suppressions)
 
     if project_rules:
-        project_result = None
-        project_digest = ""
-        if cache is not None:
-            project_digest = LintCache.project_digest(digests)
-            project_result = cache.load_project(project_digest, project_signature)
-        if project_result is not None:
-            report.findings.extend(project_result[0])
-            report.suppressed.extend(project_result[1])
-        else:
-            parsed: list[tuple[str, str, ast.Module]] = []
-            for path, source in files:
-                if path not in trees:
-                    # Module stage was a cache hit — parse now for the
-                    # whole-program stage.
-                    try:
-                        trees[path] = ast.parse(source)
-                    except SyntaxError:
-                        trees[path] = None
-                tree = trees[path]
-                if tree is not None:
-                    parsed.append((path, source, tree))
-            project = Project.build(parsed)
-            suppression_maps = {
-                path: _Suppressions(source) for path, source, _ in parsed
-            }
-            active = []
-            silenced = []
-            for rule in project_rules:
-                for finding in rule.check_project(project):
-                    suppressions = suppression_maps.get(finding.path)
-                    if suppressions is not None and suppressions.silences(finding):
-                        silenced.append(finding)
-                    else:
-                        active.append(finding)
-            report.findings.extend(active)
-            report.suppressed.extend(silenced)
-            if cache is not None:
-                cache.store_project(
-                    project_digest, project_signature, active, silenced
-                )
+        project = Project.build(parsed)
+        for rule in project_rules:
+            for finding in rule.check_project(project):
+                _record(report, finding, suppression_maps.get(finding.path))
 
     report.sort()
     return report
@@ -266,14 +203,11 @@ def _python_files(path: Path) -> list[Path]:
 def lint_paths(
     paths: Iterable[str | Path],
     rules: Sequence[Rule | type[Rule]] | None = None,
-    *,
-    cache: LintCache | None = None,
 ) -> LintReport:
     """Lint every Python file under the given files/directories.
 
     All files form *one* run: the whole-program rules resolve imports
-    across every directory given.  ``cache`` is saved by the caller
-    (see :meth:`repro.lint.cache.LintCache.save`).
+    across every directory given.
 
     Raises:
         FileNotFoundError: When a given path does not exist (a linter
@@ -286,4 +220,4 @@ def lint_paths(
             raise FileNotFoundError(f"lint target does not exist: {path}")
         for file_path in _python_files(path):
             files.append((str(file_path), file_path.read_text(encoding="utf-8")))
-    return lint_sources(files, rules, cache=cache)
+    return lint_sources(files, rules)

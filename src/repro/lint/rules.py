@@ -48,7 +48,6 @@ SERIALIZATION_PATHS = (
     "core/journal.py",
     "grid/checkpoint.py",
     "sim/checkpoint.py",
-    "sim/export.py",
     "obs/export.py",
     "obs/events.py",
     "obs/merge.py",

@@ -25,20 +25,6 @@ from repro.sim.calibration import (
     CalibrationTarget,
     calibrate,
 )
-from repro.sim.convergence import (
-    ConvergencePoint,
-    convergence_track,
-    is_converged,
-    required_samples,
-)
-from repro.sim.export import (
-    figure_to_dict,
-    result_to_rows,
-    samples_csv_text,
-    summary_to_dict,
-    write_json,
-    write_samples_csv,
-)
 from repro.sim.sensitivity import (
     SWEEPABLE_PARAMETERS,
     SensitivityPoint,
@@ -120,12 +106,6 @@ __all__ = [
     "bar_chart",
     "line_chart",
     "table",
-    "result_to_rows",
-    "samples_csv_text",
-    "write_samples_csv",
-    "summary_to_dict",
-    "figure_to_dict",
-    "write_json",
     "SWEEPABLE_PARAMETERS",
     "SensitivityPoint",
     "sweep",
@@ -134,8 +114,4 @@ __all__ = [
     "CalibrationTarget",
     "CalibrationResult",
     "calibrate",
-    "ConvergencePoint",
-    "convergence_track",
-    "is_converged",
-    "required_samples",
 ]

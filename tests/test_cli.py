@@ -130,6 +130,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "backfill ms" in out
 
+    def test_complexity_command_prints_the_sweep(self, capsys, monkeypatch):
+        # The table must come from the EXP-CPLX sweep (unsatisfiable
+        # request, worst-case scans), not from a private timing loop.
+        from repro.sim import reporting
+
+        calls = []
+
+        def fake_sweep(sizes, *, seed, repeats):
+            calls.append((sizes, seed, repeats))
+            return [
+                reporting.ComplexityPoint(algorithm=name, slots=size, seconds=seconds)
+                for size in sizes
+                for name, seconds in (("ALP", 0.001), ("AMP", 0.002), ("backfill", 0.004))
+            ]
+
+        monkeypatch.setattr(reporting, "complexity_sweep", fake_sweep)
+        argv = ["complexity", "--sizes", "300", "600", "--repeats", "2", "--seed", "9"]
+        assert main(argv) == 0
+        assert calls == [((300, 600), 9, 2)]
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        for size in ("300", "600"):
+            assert [size, "1.000", "2.000", "4.000"] in [
+                [cell for cell in row if cell != "|"] for row in rows
+            ]
+
     def test_sweep_command(self, capsys):
         assert (
             main(

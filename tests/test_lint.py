@@ -32,6 +32,7 @@ from repro.lint import (
 )
 from repro.lint.cli import main
 from repro.lint.engine import SYNTAX_ERROR_CODE
+from repro.lint.rules import SERIALIZATION_PATHS, SHARDED_PATHS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -564,3 +565,13 @@ class TestSelfClean:
         # this pins the count so growth is a reviewed decision.
         report = lint_paths([SRC])
         assert report.suppressed == []
+
+    def test_scoped_paths_name_existing_files(self):
+        # A stale entry would silently narrow RPR002/RPR004 to nothing.
+        package = SRC / "repro"
+        missing = [
+            entry
+            for entry in SHARDED_PATHS + SERIALIZATION_PATHS
+            if not (package / entry).is_file()
+        ]
+        assert missing == []

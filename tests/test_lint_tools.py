@@ -1,20 +1,14 @@
-"""Tests for the analyzer tooling: SARIF export, incremental cache,
-``--changed-only`` diff mode, and uniform suppression handling across
-the RPR0xx/RPR1xx rule families."""
+"""Tests for the analyzer tooling: SARIF export and uniform suppression
+handling across the RPR0xx/RPR1xx rule families."""
 
 from __future__ import annotations
 
 import json
-import subprocess
-
-import pytest
 
 from repro.lint import (
     DEFAULT_RULES,
-    LintCache,
     file_suppressions,
     lint_source,
-    lint_sources,
     render_sarif,
     sarif_document,
 )
@@ -111,134 +105,6 @@ class TestSarifExport:
         }
         # Findings went to the file; stdout stays empty for piping.
         assert capsys.readouterr().out == ""
-
-
-# ---------------------------------------------------------------------- #
-# Incremental cache                                                      #
-# ---------------------------------------------------------------------- #
-
-
-class TestLintCache:
-    FILES = [
-        (MIXED_PATH, MIXED_SOURCE),
-        ("repro/core/clean.py", "x = 1\n"),
-    ]
-
-    def test_second_run_hits_and_matches_cold_results(self, tmp_path):
-        cache_path = tmp_path / "lint-cache.json"
-        cold = lint_sources(self.FILES, DEFAULT_RULES)
-
-        cache = LintCache(cache_path)
-        first = lint_sources(self.FILES, DEFAULT_RULES, cache=cache)
-        assert cache.hits == 0
-        cache.save()
-
-        warm_cache = LintCache(cache_path)
-        warm = lint_sources(self.FILES, DEFAULT_RULES, cache=warm_cache)
-        assert warm_cache.hits > 0
-        assert warm_cache.misses == 0
-        for report in (first, warm):
-            report.sort()
-        cold.sort()
-        assert warm.findings == cold.findings == first.findings
-        assert warm.suppressed == cold.suppressed
-
-    def test_content_change_invalidates_only_that_file(self, tmp_path):
-        cache_path = tmp_path / "lint-cache.json"
-        cache = LintCache(cache_path)
-        lint_sources(self.FILES, DEFAULT_RULES, cache=cache)
-        cache.save()
-
-        edited = [
-            (MIXED_PATH, MIXED_SOURCE + "\n# touched\n"),
-            ("repro/core/clean.py", "x = 1\n"),
-        ]
-        warm = LintCache(cache_path)
-        report = lint_sources(edited, DEFAULT_RULES, cache=warm)
-        assert warm.hits >= 1  # the untouched file
-        assert warm.misses >= 1  # the edited file (and the project entry)
-        assert codes(report) == ["RPR003", "RPR104"]
-
-    def test_rule_selection_change_invalidates(self, tmp_path):
-        from repro.lint import ResourceLifecycleRule
-
-        cache_path = tmp_path / "lint-cache.json"
-        cache = LintCache(cache_path)
-        lint_sources(self.FILES, DEFAULT_RULES, cache=cache)
-        cache.save()
-
-        narrow = LintCache(cache_path)
-        report = lint_sources(self.FILES, [ResourceLifecycleRule()], cache=narrow)
-        assert narrow.hits == 0
-        assert codes(report) == ["RPR104"]
-
-    def test_corrupt_cache_is_discarded(self, tmp_path):
-        cache_path = tmp_path / "lint-cache.json"
-        cache_path.write_text("{not json", encoding="utf-8")
-        cache = LintCache(cache_path)
-        report = lint_sources(self.FILES, DEFAULT_RULES, cache=cache)
-        assert cache.hits == 0
-        assert codes(report) == ["RPR003", "RPR104"]
-        cache.save()
-        assert json.loads(cache_path.read_text(encoding="utf-8"))
-
-
-# ---------------------------------------------------------------------- #
-# --changed-only                                                         #
-# ---------------------------------------------------------------------- #
-
-
-def _git(tmp_path, *arguments):
-    proc = subprocess.run(
-        ["git", *arguments],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-@pytest.fixture
-def git_tree(tmp_path, monkeypatch):
-    """A tmp git checkout with one committed bad file, cwd switched in."""
-    _git(tmp_path, "init", "--quiet")
-    _git(tmp_path, "config", "user.email", "lint@test")
-    _git(tmp_path, "config", "user.name", "lint")
-    committed = tmp_path / "repro" / "core" / "committed.py"
-    committed.parent.mkdir(parents=True)
-    committed.write_text(MIXED_SOURCE, encoding="utf-8")
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "--quiet", "-m", "seed")
-    monkeypatch.chdir(tmp_path)
-    return tmp_path
-
-
-class TestChangedOnly:
-    def test_untracked_file_is_reported_committed_is_filtered(
-        self, git_tree, capsys
-    ):
-        fresh = git_tree / "repro" / "core" / "fresh.py"
-        fresh.write_text("def f():\n    assert True\n", encoding="utf-8")
-        assert main(["--changed-only", str(git_tree)]) == 1
-        out = capsys.readouterr().out
-        assert "fresh.py" in out
-        # The committed file's findings exist but are filtered from the
-        # report — pre-commit only cares about what the diff touches.
-        assert "committed.py" not in out
-
-    def test_clean_diff_exits_zero_despite_old_findings(self, git_tree, capsys):
-        assert main(["--changed-only", str(git_tree)]) == 0
-        assert capsys.readouterr().out == ""
-
-    def test_outside_git_exits_two(self, tmp_path, monkeypatch, capsys):
-        outside = tmp_path / "plain"
-        outside.mkdir()
-        (outside / "ok.py").write_text("x = 1\n", encoding="utf-8")
-        monkeypatch.chdir(outside)
-        monkeypatch.setenv("GIT_DIR", str(outside / "nowhere"))
-        assert main(["--changed-only", str(outside)]) == 2
-        assert "--changed-only" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- #
