@@ -40,6 +40,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -149,6 +150,25 @@ class Combination:
     objective: Criterion
     limit: float
     degraded: bool = False
+
+    @classmethod
+    def of(
+        cls,
+        selection: dict[Job, Window],
+        objective: Criterion,
+        limit: float,
+        *,
+        degraded: bool = False,
+    ) -> "Combination":
+        """A combination with exact totals summed over ``selection``."""
+        return cls(
+            selection=selection,
+            total_cost=sum(window.cost for window in selection.values()),
+            total_time=sum(window.length for window in selection.values()),
+            objective=objective,
+            limit=limit,
+            degraded=degraded,
+        )
 
     @property
     def mean_job_time(self) -> float:
@@ -278,8 +298,8 @@ def _greedy_choose(
     limit: float,
     *,
     maximize: bool,
-) -> list[Window] | None:
-    """Budget-free greedy selection: one window per job under ``limit``.
+) -> list[int] | None:
+    """Budget-free greedy selection: one window index per job under ``limit``.
 
     Starts from the most-affordable base (minimal ``weight`` per job, the
     selection with the best chance of fitting), then makes one sweep
@@ -289,23 +309,25 @@ def _greedy_choose(
     instance is genuinely infeasible.
     """
     sign = -1.0 if maximize else 1.0
-    base = [
-        min(windows, key=lambda w: (weight(w), sign * value(w))) for windows in lists
+    chosen = [
+        min(
+            range(len(windows)),
+            key=lambda alt: (weight(windows[alt]), sign * value(windows[alt])),
+        )
+        for windows in lists
     ]
-    slack = limit - sum(weight(window) for window in base)
+    slack = limit - sum(weight(windows[alt]) for windows, alt in zip(lists, chosen))
     if slack < -1e-9:
         return None
-    chosen = list(base)
     for index, windows in enumerate(lists):
-        current = chosen[index]
-        best = current
-        for window in windows:
-            extra = weight(window) - weight(current)
-            if extra <= slack + 1e-9 and sign * value(window) < sign * value(best):
-                best = window
-        if best is not current:
-            slack -= weight(best) - weight(current)
-            chosen[index] = best
+        best = chosen[index]
+        current = weight(windows[best])
+        for alt, window in enumerate(windows):
+            affordable = weight(window) - current <= slack + 1e-9
+            if affordable and sign * value(window) < sign * value(windows[best]):
+                best = alt
+        slack -= weight(windows[best]) - current
+        chosen[index] = best
     return chosen
 
 
@@ -357,6 +379,14 @@ def _backward_run(
     return selection, float(f_next[capacity])
 
 
+#: Per-window reader of each criterion: :meth:`Criterion.of` without its
+#: per-call dispatch, which phase 2 would pay on every alternative.
+_READ: dict[Criterion, Callable[[Window], float]] = {
+    Criterion.COST: attrgetter("cost"),
+    Criterion.TIME: attrgetter("length"),
+}
+
+
 #: Memo key: extremum direction, bin capacity, and the per-job
 #: ``(g row, z row)`` value pairs — everything :func:`_backward_run`
 #: consumes, nothing else.
@@ -380,25 +410,23 @@ class DPMemo:
 
     Entries are LRU-evicted beyond ``max_entries``.  Hits return a copy
     of the cached selection, so callers may mutate their result freely.
+    To recompute every run, pass no memo (``memo=None``) to the phase-2
+    entry points.
 
     Attributes:
         max_entries: LRU capacity (oldest entries evicted beyond it).
-        enabled: When ``False`` the memo is a transparent pass-through —
-            every run recomputes — which gives tests and ablations a
-            memo-off mode with the identical call surface.
         hits: Number of lookups answered from the cache.
         misses: Number of lookups that ran the DP.
     """
 
-    __slots__ = ("max_entries", "enabled", "hits", "misses", "_entries")
+    __slots__ = ("max_entries", "hits", "misses", "_entries")
 
-    def __init__(self, max_entries: int = 256, *, enabled: bool = True) -> None:
+    def __init__(self, max_entries: int = 256) -> None:
         if max_entries < 1:
             raise OptimizationError(
                 f"max_entries must be >= 1, got {max_entries!r}"
             )
         self.max_entries = max_entries
-        self.enabled = enabled
         self.hits = 0
         self.misses = 0
         self._entries: OrderedDict[_DPKey, tuple[list[int], float] | None] = (
@@ -418,51 +446,154 @@ class DPMemo:
         """Snapshot of the memo counters (benchmark/diagnostic view)."""
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._entries)}
 
+    def backward_run(
+        self,
+        g_values: list[list[float]],
+        z_weights: list[list[int]],
+        capacity: int,
+        *,
+        maximize: bool,
+        telemetry: Telemetry,
+        label: str,
+    ) -> tuple[list[int], float] | None:
+        """:func:`_backward_run` through the cache (byte-identical results).
 
-def _memoized_backward_run(
-    g_values: list[list[float]],
-    z_weights: list[list[int]],
-    capacity: int,
+        A hit returns the cached outcome — the same selection indices and
+        extremal value the DP produced when the instance was first posed,
+        so memo-on and memo-off runs are indistinguishable downstream.
+        Hits and misses are counted on the memo and, when telemetry is
+        enabled, on the ``dp.memo.hits`` / ``dp.memo.misses`` counters.
+        """
+        key: _DPKey = (
+            maximize,
+            capacity,
+            tuple(
+                (tuple(job_g), tuple(job_z))
+                for job_g, job_z in zip(g_values, z_weights)
+            ),
+        )
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+            self.hits += 1
+            if telemetry.enabled:
+                telemetry.count("dp.memo.hits", 1, objective=label)
+            cached = entries[key]
+            return None if cached is None else (list(cached[0]), cached[1])
+        self.misses += 1
+        if telemetry.enabled:
+            telemetry.count("dp.memo.misses", 1, objective=label)
+        solved = _backward_run(g_values, z_weights, capacity, maximize=maximize)
+        entries[key] = None if solved is None else (list(solved[0]), solved[1])
+        while len(entries) > self.max_entries:
+            entries.popitem(last=False)
+        return solved
+
+
+def _solve(
+    lists: list[list[Window]],
+    measure: Criterion,
+    limit: float,
     *,
     maximize: bool,
-    memo: DPMemo | None,
-    telemetry: Telemetry,
     label: str,
-) -> tuple[list[int], float] | None:
-    """:func:`_backward_run` through ``memo`` (byte-identical results).
+    resolution: int,
+    budget: OptimizationBudget | None,
+    memo: DPMemo | None,
+    started: float,
+) -> tuple[list[int], float, bool]:
+    """Phase 2's one driver: eq. (1) over ``measure`` under ``limit``.
 
-    A hit returns the cached outcome — the same selection indices and
-    extremal value the DP produced when the instance was first posed, so
-    memo-on and memo-off runs are indistinguishable downstream.  Hits
-    and misses are counted on the memo and, when telemetry is enabled,
-    on the ``dp.memo.hits`` / ``dp.memo.misses`` counters.
+    Chooses one window per job, extremizing ``measure`` (``max`` when
+    ``maximize``) subject to ``Σ measure.dual <= limit``.  The budget
+    steps the resolution down to fit ``budget.max_cells``; when the
+    table still does not fit, or ``budget.deadline`` elapsed since
+    ``started``, :func:`_greedy_choose` replaces the DP.  The backward
+    run goes through ``memo`` when one is given.  ``label`` tags the
+    ``dp.*`` / ``optimize.degraded`` metrics and decision records.
+
+    Returns:
+        ``(chosen alternative index per job, extremal measure total,
+        degraded)``.
+
+    Raises:
+        InfeasibleConstraintError: When no selection fits the limit.
     """
-    if memo is None or not memo.enabled:
-        return _backward_run(g_values, z_weights, capacity, maximize=maximize)
-    key: _DPKey = (
-        maximize,
-        capacity,
-        tuple(
-            (tuple(job_g), tuple(job_z))
-            for job_g, job_z in zip(g_values, z_weights)
-        ),
-    )
-    entries = memo._entries
-    if key in entries:
-        entries.move_to_end(key)
-        memo.hits += 1
+    telemetry = get_telemetry()
+    constrained = measure.dual
+    value, weight = _READ[measure], _READ[constrained]
+    total_alternatives = sum(len(windows) for windows in lists)
+    fitted, exhausted = _fit_resolution(total_alternatives, resolution, limit, budget)
+    if exhausted or _out_of_time(started, budget):
+        mode: str | None = "max_cells" if exhausted else "deadline"
+        chosen = _greedy_choose(lists, value, weight, limit, maximize=maximize)
+        solved = None if chosen is None else (
+            chosen,
+            float(sum(value(windows[alt]) for windows, alt in zip(lists, chosen))),
+        )
+    else:
+        mode = "stepdown" if fitted != resolution else None
+        g_values = [[value(window) for window in windows] for windows in lists]
+        flat_z = [weight(window) for windows in lists for window in windows]
+        weights_flat, capacity = _discretize(flat_z, limit, fitted)
+        z_weights: list[list[int]] = []
+        cursor = 0
+        for windows in lists:
+            z_weights.append(weights_flat[cursor : cursor + len(windows)])
+            cursor += len(windows)
         if telemetry.enabled:
-            telemetry.count("dp.memo.hits", 1, objective=label)
-        cached = entries[key]
-        return None if cached is None else (list(cached[0]), cached[1])
-    memo.misses += 1
-    if telemetry.enabled:
-        telemetry.count("dp.memo.misses", 1, objective=label)
-    solved = _backward_run(g_values, z_weights, capacity, maximize=maximize)
-    entries[key] = None if solved is None else (list(solved[0]), solved[1])
-    while len(entries) > memo.max_entries:
-        entries.popitem(last=False)
-    return solved
+            # The run's size before it executes: ``dp.table_cells`` is
+            # the exact number of ``f_i`` entries _backward_run fills.
+            telemetry.count("dp.runs", 1, objective=label)
+            telemetry.count(
+                "dp.table_cells",
+                total_alternatives * (capacity + 1),
+                objective=label,
+            )
+            telemetry.observe("dp.capacity", capacity, objective=label)
+            telemetry.observe("dp.alternatives", total_alternatives, objective=label)
+            if mode and telemetry.decisions.enabled:
+                telemetry.decisions.emit(
+                    "dp.resolution_stepdown",
+                    objective=label,
+                    requested=resolution,
+                    fitted=fitted,
+                )
+        began = time.perf_counter()
+        if memo is None:
+            solved = _backward_run(g_values, z_weights, capacity, maximize=maximize)
+        else:
+            solved = memo.backward_run(
+                g_values,
+                z_weights,
+                capacity,
+                maximize=maximize,
+                telemetry=telemetry,
+                label=label,
+            )
+        if telemetry.enabled:
+            telemetry.observe(
+                "phase.seconds", time.perf_counter() - began, phase="phase2.dp"
+            )
+    if solved is None:
+        if telemetry.enabled:
+            telemetry.count("dp.infeasible", 1, objective=label)
+            if telemetry.decisions.enabled:
+                telemetry.decisions.emit("dp.infeasible", objective=label, limit=limit)
+        best = sum(min(map(weight, windows)) for windows in lists)
+        raise InfeasibleConstraintError(
+            f"no combination satisfies {constrained.value} <= {limit:g} "
+            f"(the least possible is {best:g})",
+            limit=limit,
+            best=best,
+        )
+    if mode and telemetry.enabled:
+        telemetry.count("optimize.degraded", 1, objective=label, mode=mode)
+        if mode != "stepdown" and telemetry.decisions.enabled:
+            telemetry.decisions.emit(
+                "dp.greedy_fallback", objective=label, reason=mode, limit=limit
+            )
+    return solved[0], solved[1], mode is not None
 
 
 def optimize(
@@ -510,122 +641,23 @@ def optimize(
     else:
         phase_span = NOOP_SPAN
     with phase_span:
-        constrained = objective.dual
-        z_values = [[constrained.of(window) for window in windows] for windows in lists]
-        total_alternatives = sum(len(values) for values in z_values)
-        fitted, exhausted = _fit_resolution(
-            total_alternatives, resolution, limit, budget
+        chosen, _, degraded = _solve(
+            lists,
+            objective,
+            limit,
+            maximize=False,
+            label=objective.value,
+            resolution=resolution,
+            budget=budget,
+            memo=memo,
+            started=started,
         )
-        if exhausted or _out_of_time(started, budget):
-            reason = "max_cells" if exhausted else "deadline"
-            chosen = _greedy_choose(
-                lists, objective.of, constrained.of, limit, maximize=False
-            )
-            if chosen is None:
-                if telemetry.enabled:
-                    telemetry.count("dp.infeasible", 1, objective=objective.value)
-                    if telemetry.decisions.enabled:
-                        telemetry.decisions.emit(
-                            "dp.infeasible", objective=objective.value, limit=limit
-                        )
-                best = sum(min(values) for values in z_values)
-                raise InfeasibleConstraintError(
-                    f"no combination satisfies {constrained.value} <= {limit:g} "
-                    f"(cheapest possible is >= {best:g})",
-                    limit=limit,
-                    best=best,
-                )
-            if telemetry.enabled:
-                telemetry.count(
-                    "optimize.degraded", 1, objective=objective.value, mode=reason
-                )
-                if telemetry.decisions.enabled:
-                    decisions = telemetry.decisions
-                    decisions.emit(
-                        "dp.greedy_fallback",
-                        objective=objective.value,
-                        reason=reason,
-                        limit=limit,
-                    )
-                    for job, window in zip(jobs, chosen):
-                        decisions.emit(
-                            "dp.selected",
-                            job=job.name,
-                            objective=objective.value,
-                            start=window.start,
-                            cost=window.cost,
-                            degraded=True,
-                        )
-            return _combination_of(
-                dict(zip(jobs, chosen)), objective, limit, degraded=True
-            )
-        g_values = [[objective.of(window) for window in windows] for windows in lists]
-        flat_z = [value for job_values in z_values for value in job_values]
-        weights_flat, capacity = _discretize(flat_z, limit, fitted)
-        z_weights: list[list[int]] = []
-        cursor = 0
-        for windows in lists:
-            z_weights.append(weights_flat[cursor : cursor + len(windows)])
-            cursor += len(windows)
-        if telemetry.enabled:
-            _count_dp_run(telemetry, len(weights_flat), capacity, objective.value)
-            if fitted != resolution and telemetry.decisions.enabled:
-                telemetry.decisions.emit(
-                    "dp.resolution_stepdown",
-                    objective=objective.value,
-                    requested=resolution,
-                    fitted=fitted,
-                )
-            began = time.perf_counter()
-            solved = _memoized_backward_run(
-                g_values,
-                z_weights,
-                capacity,
-                maximize=False,
-                memo=memo,
-                telemetry=telemetry,
-                label=objective.value,
-            )
-            telemetry.observe(
-                "phase.seconds", time.perf_counter() - began, phase="phase2.dp"
-            )
-        else:
-            solved = _memoized_backward_run(
-                g_values,
-                z_weights,
-                capacity,
-                maximize=False,
-                memo=memo,
-                telemetry=telemetry,
-                label=objective.value,
-            )
-        if solved is None:
-            if telemetry.enabled:
-                telemetry.count("dp.infeasible", 1, objective=objective.value)
-                if telemetry.decisions.enabled:
-                    telemetry.decisions.emit(
-                        "dp.infeasible", objective=objective.value, limit=limit
-                    )
-            best = sum(min(values) for values in z_values)
-            raise InfeasibleConstraintError(
-                f"no combination satisfies {constrained.value} <= {limit:g} "
-                f"(cheapest possible is >= {best:g})",
-                limit=limit,
-                best=best,
-            )
-        degraded = fitted != resolution
-        if degraded and telemetry.enabled:
-            telemetry.count(
-                "optimize.degraded", 1, objective=objective.value, mode="stepdown"
-            )
-        chosen, _ = solved
         selection = {
-            job: lists[index][alt] for index, (job, alt) in enumerate(zip(jobs, chosen))
+            job: windows[alt] for job, windows, alt in zip(jobs, lists, chosen)
         }
         if telemetry.enabled and telemetry.decisions.enabled:
             decisions = telemetry.decisions
-            for index, (job, alt) in enumerate(zip(jobs, chosen)):
-                window = lists[index][alt]
+            for (job, window), alt in zip(selection.items(), chosen):
                 decisions.emit(
                     "dp.selected",
                     job=job.name,
@@ -635,44 +667,7 @@ def optimize(
                     cost=window.cost,
                     degraded=degraded,
                 )
-        return _combination_of(selection, objective, limit, degraded=degraded)
-
-
-def _combination_of(
-    selection: dict[Job, Window],
-    objective: Criterion,
-    limit: float,
-    *,
-    degraded: bool = False,
-) -> Combination:
-    """Build a :class:`Combination` with exact totals over ``selection``."""
-    return Combination(
-        selection=selection,
-        total_cost=sum(window.cost for window in selection.values()),
-        total_time=sum(window.length for window in selection.values()),
-        objective=objective,
-        limit=limit,
-        degraded=degraded,
-    )
-
-
-def _count_dp_run(
-    telemetry: Telemetry, total_alternatives: int, capacity: int, label: str
-) -> None:
-    """Record the size of one backward run before it executes.
-
-    ``dp.table_cells`` is the exact number of ``f_i`` table entries the
-    run fills: one row per alternative, ``capacity + 1`` constraint bins
-    per row (matching the arrays allocated in ``_backward_run``).
-    """
-    if not telemetry.enabled:
-        return
-    telemetry.count("dp.runs", 1, objective=label)
-    telemetry.count(
-        "dp.table_cells", total_alternatives * (capacity + 1), objective=label
-    )
-    telemetry.observe("dp.capacity", capacity, objective=label)
-    telemetry.observe("dp.alternatives", total_alternatives, objective=label)
+        return Combination.of(selection, objective, limit, degraded=degraded)
 
 
 def vo_budget(
@@ -715,105 +710,17 @@ def vo_budget(
     else:
         phase_span = NOOP_SPAN
     with phase_span:
-        z_values = [[window.length for window in windows] for windows in lists]
-        total_alternatives = sum(len(values) for values in z_values)
-        fitted, exhausted = _fit_resolution(
-            total_alternatives, resolution, quota, budget
+        _, income, _ = _solve(
+            lists,
+            Criterion.COST,
+            quota,
+            maximize=True,
+            label="budget",
+            resolution=resolution,
+            budget=budget,
+            memo=memo,
+            started=started,
         )
-        if exhausted or _out_of_time(started, budget):
-            reason = "max_cells" if exhausted else "deadline"
-            chosen = _greedy_choose(
-                lists,
-                lambda window: window.cost,
-                lambda window: window.length,
-                quota,
-                maximize=True,
-            )
-            if chosen is None:
-                if telemetry.enabled:
-                    telemetry.count("dp.infeasible", 1, objective="budget")
-                    if telemetry.decisions.enabled:
-                        telemetry.decisions.emit(
-                            "dp.infeasible", objective="budget", limit=quota
-                        )
-                best = sum(min(values) for values in z_values)
-                raise InfeasibleConstraintError(
-                    f"no combination satisfies time <= quota {quota:g} "
-                    f"(fastest possible is >= {best:g})",
-                    limit=quota,
-                    best=best,
-                )
-            if telemetry.enabled:
-                telemetry.count(
-                    "optimize.degraded", 1, objective="budget", mode=reason
-                )
-                if telemetry.decisions.enabled:
-                    telemetry.decisions.emit(
-                        "dp.greedy_fallback",
-                        objective="budget",
-                        reason=reason,
-                        limit=quota,
-                    )
-            return float(sum(window.cost for window in chosen))
-        g_values = [[window.cost for window in windows] for windows in lists]
-        flat_z = [value for job_values in z_values for value in job_values]
-        weights_flat, capacity = _discretize(flat_z, quota, fitted)
-        z_weights: list[list[int]] = []
-        cursor = 0
-        for windows in lists:
-            z_weights.append(weights_flat[cursor : cursor + len(windows)])
-            cursor += len(windows)
-        if telemetry.enabled:
-            _count_dp_run(telemetry, len(weights_flat), capacity, "budget")
-            if fitted != resolution and telemetry.decisions.enabled:
-                telemetry.decisions.emit(
-                    "dp.resolution_stepdown",
-                    objective="budget",
-                    requested=resolution,
-                    fitted=fitted,
-                )
-            began = time.perf_counter()
-            solved = _memoized_backward_run(
-                g_values,
-                z_weights,
-                capacity,
-                maximize=True,
-                memo=memo,
-                telemetry=telemetry,
-                label="budget",
-            )
-            telemetry.observe(
-                "phase.seconds", time.perf_counter() - began, phase="phase2.dp"
-            )
-        else:
-            solved = _memoized_backward_run(
-                g_values,
-                z_weights,
-                capacity,
-                maximize=True,
-                memo=memo,
-                telemetry=telemetry,
-                label="budget",
-            )
-        if solved is None:
-            if telemetry.enabled:
-                telemetry.count("dp.infeasible", 1, objective="budget")
-                if telemetry.decisions.enabled:
-                    telemetry.decisions.emit(
-                        "dp.infeasible", objective="budget", limit=quota
-                    )
-            best = sum(min(values) for values in z_values)
-            raise InfeasibleConstraintError(
-                f"no combination satisfies time <= quota {quota:g} "
-                f"(fastest possible is >= {best:g})",
-                limit=quota,
-                best=best,
-            )
-        if fitted != resolution and telemetry.enabled:
-            telemetry.count(
-                "optimize.degraded", 1, objective="budget", mode="stepdown"
-            )
-        _, income = solved
         return income
 
 
@@ -890,11 +797,4 @@ def brute_force(
             best = (g_total, combo)
     if best is None:
         return None
-    selection = dict(zip(jobs, best[1]))
-    return Combination(
-        selection=selection,
-        total_cost=sum(window.cost for window in best[1]),
-        total_time=sum(window.length for window in best[1]),
-        objective=objective,
-        limit=limit,
-    )
+    return Combination.of(dict(zip(jobs, best[1])), objective, limit)

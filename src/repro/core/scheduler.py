@@ -68,15 +68,10 @@ class SchedulerConfig:
         budget: Optional deadline/operation budget for phase 2; under
             overload the DP degrades (stepped-down resolution, then a
             greedy per-job selection) instead of stalling the iteration.
-        dp_memo: Cross-cycle DP memo for the phase-2 backward runs;
-            ``None`` (the default) gives every :class:`BatchScheduler`
-            built from this config its **own private** memo — schedulers
-            never share cache state implicitly.  Memo hits reproduce the
-            memo-off result exactly (value-keyed tables; see
-            :class:`~repro.core.optimize.DPMemo`), so this knob only
-            controls *where* the cache lives: pass one ``DPMemo``
-            instance to several configs to opt into explicit sharing, or
-            ``DPMemo(enabled=False)`` to recompute every run.
+
+    The config holds no DP memo: every :class:`BatchScheduler` owns a
+    private :class:`~repro.core.optimize.DPMemo`, so schedulers never
+    share cache state.
     """
 
     algorithm: SlotSearchAlgorithm = SlotSearchAlgorithm.AMP
@@ -86,7 +81,6 @@ class SchedulerConfig:
     max_alternatives_per_job: int | None = None
     infeasible_policy: InfeasiblePolicy = InfeasiblePolicy.RAISE
     budget: OptimizationBudget | None = None
-    dp_memo: DPMemo | None = None
 
 
 @dataclass
@@ -123,36 +117,16 @@ class ScheduleOutcome:
         return self.combination.selection
 
 
-def _earliest_combination(
-    alternatives: dict[Job, list[Window]], objective: Criterion, limit: float
-) -> Combination:
-    """Fallback selection: each job takes its first-found (earliest) window."""
-    selection = {job: windows[0] for job, windows in alternatives.items()}
-    return Combination(
-        selection=selection,
-        total_cost=sum(window.cost for window in selection.values()),
-        total_time=sum(window.length for window in selection.values()),
-        objective=objective,
-        limit=limit,
-    )
-
-
 class BatchScheduler:
     """Runs the full two-phase economic scheduling scheme for one batch."""
 
     def __init__(self, config: SchedulerConfig | None = None) -> None:
         self.config = config or SchedulerConfig()
-        # Scheduler-local unless the config opts into explicit sharing:
-        # DP cache traffic must never cross scheduler instances
-        # implicitly (that was the old process-wide DEFAULT_DP_MEMO,
-        # retired as the canonical RPR101 shared-state finding).
-        self._dp_memo = (
-            self.config.dp_memo if self.config.dp_memo is not None else DPMemo()
-        )
+        self._dp_memo = DPMemo()
 
     @property
     def dp_memo(self) -> DPMemo:
-        """This scheduler's DP memo (shared only if the config says so)."""
+        """This scheduler's private DP memo."""
         return self._dp_memo
 
     def schedule(self, slot_list: SlotList, batch: Batch) -> ScheduleOutcome:
@@ -230,7 +204,9 @@ class BatchScheduler:
                 if config.infeasible_policy is InfeasiblePolicy.RAISE:
                     raise
                 limit = budget if budget is not None else quota
-                combination = _earliest_combination(covered, config.objective, limit)
+                # Each job takes its first-found (earliest) window.
+                earliest = {job: windows[0] for job, windows in covered.items()}
+                combination = Combination.of(earliest, config.objective, limit)
                 used_fallback = True
                 if telemetry.enabled:
                     telemetry.count("scheduler.fallbacks")

@@ -201,19 +201,7 @@ def run_pipeline(
     search = find_alternatives(slots, batch, algorithm, rho=rho)
     if not search.all_jobs_covered():
         return None
-    covered = search.alternatives
-    quota = time_quota(covered)
-    try:
-        if objective is Criterion.TIME:
-            budget = vo_budget(covered, quota, resolution=resolution)
-            combination = minimize_time(covered, budget, resolution=resolution)
-        else:
-            budget = None
-            combination = minimize_cost(covered, quota, resolution=resolution)
-    except InfeasibleConstraintError:
-        return None
-    sample = AlgorithmSample.from_combination(combination, search, quota, budget)
-    return sample, combination
+    return _optimize_search(search, objective, resolution)
 
 
 @dataclass(frozen=True)
@@ -232,29 +220,29 @@ class IterationOutcome:
 
 
 def _optimize_search(
-    config: ExperimentConfig,
     search: SearchResult,
+    objective: Criterion,
+    resolution: int,
     memo: "DPMemo | None" = None,
-) -> AlgorithmSample | None:
+) -> tuple[AlgorithmSample, Combination] | None:
     """Phase 2 for one algorithm's search; ``None`` when infeasible."""
     covered = search.alternatives
     quota = time_quota(covered)
     try:
-        if config.objective is Criterion.TIME:
-            budget = vo_budget(
-                covered, quota, resolution=config.resolution, memo=memo
-            )
+        if objective is Criterion.TIME:
+            budget = vo_budget(covered, quota, resolution=resolution, memo=memo)
             combination = minimize_time(
-                covered, budget, resolution=config.resolution, memo=memo
+                covered, budget, resolution=resolution, memo=memo
             )
         else:
             budget = None
             combination = minimize_cost(
-                covered, quota, resolution=config.resolution, memo=memo
+                covered, quota, resolution=resolution, memo=memo
             )
     except InfeasibleConstraintError:
         return None
-    return AlgorithmSample.from_combination(combination, search, quota, budget)
+    sample = AlgorithmSample.from_combination(combination, search, quota, budget)
+    return sample, combination
 
 
 def run_iteration(
@@ -286,12 +274,12 @@ def run_iteration(
         )
     pipelines = {}
     for algorithm, search in outcomes.items():
-        finished = _optimize_search(config, search, memo)
+        finished = _optimize_search(search, config.objective, config.resolution, memo)
         if finished is None:
             return IterationOutcome(
                 slot_count=len(slots), job_count=len(batch), dropped_infeasible=True
             )
-        pipelines[algorithm] = finished
+        pipelines[algorithm] = finished[0]
     comparison = IterationComparison(
         index=index,
         slot_count=len(slots),

@@ -78,7 +78,7 @@ class TestMemoHitsAndInvalidation:
         fresh = optimize(shrunk, Criterion.COST, quota, memo=memo)
         assert memo.stats()["misses"] == 2
         assert combination_key(fresh) == combination_key(
-            optimize(shrunk, Criterion.COST, quota, memo=DPMemo(enabled=False))
+            optimize(shrunk, Criterion.COST, quota, memo=None)
         )
 
     def test_quota_change_invalidates(self):
@@ -110,7 +110,7 @@ class TestMemoHitsAndInvalidation:
             quota,
             resolution=400,
             budget=budget,
-            memo=DPMemo(enabled=False),
+            memo=None,
         )
         assert combination_key(stepped) == combination_key(reference)
 
@@ -136,14 +136,6 @@ class TestMemoHitsAndInvalidation:
             optimize(covered, Criterion.COST, quota + bump, memo=memo)
         assert len(memo) == 2
         assert memo.stats()["misses"] == 4
-
-    def test_disabled_memo_records_nothing(self):
-        covered = covered_alternatives(6)
-        memo = DPMemo(enabled=False)
-        quota = time_quota(covered)
-        optimize(covered, Criterion.COST, quota, memo=memo)
-        optimize(covered, Criterion.COST, quota, memo=memo)
-        assert memo.stats() == {"hits": 0, "misses": 0, "entries": 0}
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(OptimizationError):
@@ -171,24 +163,6 @@ class TestSchedulerMemoIsolation:
         assert second.dp_memo.stats()["hits"] == 0
         assert second.dp_memo.stats()["misses"] > 0
 
-    def test_explicit_sharing_is_opt_in(self):
-        slots = make_random_slot_list(4)
-        batch = make_random_batch(4)
-        shared = DPMemo()
-        a = BatchScheduler(SchedulerConfig(dp_memo=shared))
-        b = BatchScheduler(SchedulerConfig(dp_memo=shared))
-        assert a.dp_memo is shared and b.dp_memo is shared
-        a.schedule(slots, batch)
-        outcome_shared = b.schedule(slots, batch)
-        assert shared.stats()["hits"] > 0
-        # The hit-served outcome is value-identical to a cold scheduler's.
-        outcome_cold = BatchScheduler(SchedulerConfig()).schedule(slots, batch)
-        assert combination_key(outcome_shared.combination) == combination_key(
-            outcome_cold.combination
-        )
-        assert outcome_shared.quota == outcome_cold.quota
-        assert outcome_shared.budget == outcome_cold.budget
-
     def test_module_has_no_default_memo_global(self):
         import importlib
 
@@ -203,12 +177,14 @@ class TestSchedulerMemoIsolation:
 class TestSchedulerByteIdentity:
     @pytest.mark.parametrize("objective", [Criterion.TIME, Criterion.COST])
     def test_memo_on_equals_memo_off_across_seeded_run(self, objective):
-        """Repeated seeded scheduling cycles: memo on ≡ memo off."""
-        memo = DPMemo()
-        on = BatchScheduler(SchedulerConfig(objective=objective, dp_memo=memo))
-        off = BatchScheduler(
-            SchedulerConfig(objective=objective, dp_memo=DPMemo(enabled=False))
-        )
+        """Repeated seeded scheduling cycles: memo on ≡ memo off.
+
+        ``on`` keeps its memo across every cycle; the memo-off side is a
+        fresh, cold scheduler per cycle, so nothing it returns was served
+        from a cache.
+        """
+        config = SchedulerConfig(objective=objective)
+        on = BatchScheduler(config)
         for seed in range(8):
             slots = make_random_slot_list(seed)
             batch = make_random_batch(seed)
@@ -216,13 +192,13 @@ class TestSchedulerByteIdentity:
             # already-solved instance (a guaranteed cross-cycle hit).
             for _ in range(2):
                 outcome_on = on.schedule(slots, batch)
-                outcome_off = off.schedule(slots, batch)
+                outcome_off = BatchScheduler(config).schedule(slots, batch)
                 assert outcome_on.quota == outcome_off.quota
                 assert outcome_on.budget == outcome_off.budget
                 assert combination_key(outcome_on.combination) == combination_key(
                     outcome_off.combination
                 )
-        assert memo.hits > 0
+        assert on.dp_memo.hits > 0
 
     def test_vo_budget_hits_cross_cycle(self):
         covered = covered_alternatives(7)
