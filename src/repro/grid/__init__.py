@@ -31,7 +31,6 @@ from repro.grid.accounting import (
 from repro.grid.arrivals import BurstyArrivals, PoissonArrivals
 from repro.grid.checkpoint import (
     DurableMetascheduler,
-    SnapshotMemo,
     load_snapshot,
     restore_metascheduler,
     save_snapshot,
@@ -90,7 +89,6 @@ __all__ = [
     "Metascheduler",
     "IterationReport",
     "DurableMetascheduler",
-    "SnapshotMemo",
     "snapshot_metascheduler",
     "restore_metascheduler",
     "save_snapshot",

@@ -26,13 +26,15 @@ Commands are journaled *after* they execute successfully, so the
 journal is a redo log of committed operations: a crash mid-command
 restores the consistent state just before it.
 
-Snapshots are rewritten in full, yet most of what they describe never
-changes: committed windows, busy intervals, iteration reports and jobs
-are immutable.  A :class:`SnapshotMemo` (one per durable run) keeps the
-payload and canonical JSON text of each such object from one snapshot
-to the next, keyed by identity, so a snapshot only encodes the objects
-created since the previous one.  The file bytes are exactly those of
-``json.dumps(data, separators=(",", ":"), sort_keys=True)``.
+Snapshots are rewritten in full, yet little changes between two of
+them: committed windows, busy intervals, iteration reports and jobs are
+immutable, and only a few nodes and trace records move per tick.  Each
+durable run keeps a text cache (:class:`_SnapshotText`) that holds the
+canonical JSON of every object, node and trace record the last snapshot
+wrote, so the next one encodes only what changed and joins the rest in
+one pass.  The file bytes are exactly those of
+``json.dumps(snapshot_metascheduler(meta) | {"journal_seq": ...},
+separators=(",", ":"), sort_keys=True)``.
 
 Typical use::
 
@@ -53,7 +55,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.core import job as job_module
 from repro.core import resource as resource_module
@@ -75,14 +77,13 @@ from repro.grid.metascheduler import IterationReport, Metascheduler
 from repro.grid.node import ComputeNode
 from repro.grid.occupancy import BusyInterval
 from repro.grid.resilience import RecoveryManager, RetryPolicy
-from repro.grid.trace import JobState
+from repro.grid.trace import JobRecord, JobState
 from repro.obs.context import TraceContext
 from repro.obs.telemetry import get_telemetry
 
 __all__ = [
     "CHECKPOINT_FORMAT",
     "DurableMetascheduler",
-    "SnapshotMemo",
     "load_snapshot",
     "restore_metascheduler",
     "save_snapshot",
@@ -103,97 +104,21 @@ JOURNAL_NAME = "journal.jsonl"
 # --------------------------------------------------------------------- #
 
 
-class _MemoEntry:
-    __slots__ = ("obj", "payload", "text")
-
-    def __init__(self, obj: object, payload: Any) -> None:
-        # The strong reference to ``obj`` keeps its id from being reused
-        # while the entry is cached.
-        self.obj = obj
-        self.payload = payload
-        self.text: str | None = None
-
-
-class SnapshotMemo:
-    """Payloads and canonical JSON of the immutable objects a run snapshots.
-
-    Maps ``id(obj)`` to the object's snapshot payload and, once written,
-    its canonical JSON text.  Only frozen value objects go in —
-    :class:`Window`, :class:`~repro.grid.occupancy.BusyInterval`,
-    :class:`IterationReport` and :class:`Job` — so a cached payload can
-    never go stale; an object that changes is a new object.  Each
-    :func:`snapshot_metascheduler` call keeps exactly the entries it
-    used, so the memo holds the current state and nothing older.
-    """
-
-    __slots__ = ("_entries", "_previous", "_texts")
-
-    def __init__(self) -> None:
-        self._entries: dict[int, _MemoEntry] = {}
-        self._previous: dict[int, _MemoEntry] = {}
-        #: ``id(payload)`` -> entry, for splicing the text at save time.
-        self._texts: dict[int, _MemoEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, obj: object) -> bool:
-        entry = self._entries.get(id(obj))
-        return entry is not None and entry.obj is obj
-
-    def _begin(self) -> None:
-        self._previous, self._entries, self._texts = self._entries, {}, {}
-
-    def _end(self) -> None:
-        self._previous = {}
-
-    def payloads(self, objects: Iterable[Any], encode: Callable[[Any], Any]) -> list[Any]:
-        """The payload of every object, encoding only those not cached."""
-        entries, previous, texts = self._entries, self._previous, self._texts
-        payloads = []
-        for obj in objects:
-            key = id(obj)
-            entry = entries.get(key)
-            if entry is None:
-                entry = previous.get(key)
-                if entry is None:
-                    entry = _MemoEntry(obj, encode(obj))
-                entries[key] = entry
-                texts[id(entry.payload)] = entry
-            payloads.append(entry.payload)
-        return payloads
-
-    def payload(self, obj: Any, encode: Callable[[Any], Any]) -> Any:
-        """The payload of one object; see :meth:`payloads`."""
-        return self.payloads((obj,), encode)[0]
-
-    def texts(self, payloads: Iterable[Any]) -> list[str]:
-        """Canonical JSON of each payload; ``json.dumps`` for foreign ones."""
-        entries = self._texts
-        texts = []
-        for payload in payloads:
-            entry = entries.get(id(payload))
-            if entry is None or entry.payload is not payload:
-                texts.append(_canonical(payload))
-                continue
-            if entry.text is None:
-                entry.text = _canonical(payload)
-            texts.append(entry.text)
-        return texts
-
-
 #: ``_canonical(value)`` is ``json.dumps(value, separators=(",", ":"),
 #: sort_keys=True)``; one encoder serves every call.
 _canonical = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
-def _encode_window(encoder: _Encoder, memo: SnapshotMemo, window: Window) -> dict[str, Any]:
-    payload = memo.payload(window, encoder.window)
-    # Re-intern the window's resources in the order encoding them would,
-    # so the resource table comes out the same on a memo hit.
-    for allocation in window.allocations:
-        encoder.resource(allocation.source.resource)
-    return payload
+def _object(values: dict[str, Any], texts: dict[str, str]) -> str:
+    """The canonical JSON object of ``values`` and of ``texts``, whose
+    values are canonical JSON text already."""
+    items = {key: _canonical(value) for key, value in values.items()}
+    items.update(texts)
+    return (
+        "{"
+        + ",".join([encode_basestring_ascii(key) + ":" + items[key] for key in sorted(items)])
+        + "}"
+    )
 
 
 def _encode_interval(interval: BusyInterval) -> list[Any]:
@@ -208,21 +133,16 @@ def _encode_report(report: IterationReport) -> dict[str, Any]:
     return report.__dict__.copy()
 
 
-def _encode_environment(
-    encoder: _Encoder, memo: SnapshotMemo, environment: VOEnvironment
-) -> dict[str, Any]:
-    clusters = []
-    for cluster in environment.clusters:
-        nodes = []
-        for node in cluster:
-            nodes.append(
-                {
-                    "resource": encoder.resource(node.resource),
-                    "intervals": memo.payloads(node.schedule, _encode_interval),
-                }
-            )
-        clusters.append({"name": cluster.name, "nodes": nodes})
-    return {"clusters": clusters}
+def _encode_record(record: JobRecord) -> dict[str, Any]:
+    """A trace record's own fields: all but its job and window."""
+    return {
+        "submit_time": record.submit_time,
+        "state": record.state.value,
+        "scheduled_iteration": record.scheduled_iteration,
+        "postponements": record.postponements,
+        "resubmissions": record.resubmissions,
+        "recoveries": record.recoveries,
+    }
 
 
 def _encode_scheduler(config: SchedulerConfig) -> dict[str, Any]:
@@ -257,11 +177,8 @@ def _encode_pricing(pricing: DemandAdjustedPricing | None) -> dict[str, Any] | N
     }
 
 
-def _encode_recovery(
-    encoder: _Encoder, memo: SnapshotMemo, recovery: RecoveryManager | None
-) -> dict[str, Any] | None:
-    if recovery is None:
-        return None
+def _encode_recovery(recovery: RecoveryManager) -> dict[str, Any]:
+    """The fault-recovery store, all but its retained windows."""
     policy = recovery.policy
     return {
         "policy": {
@@ -271,16 +188,29 @@ def _encode_recovery(
             "backoff_cap": policy.backoff_cap,
         },
         "revocations": {str(uid): count for uid, count in recovery._revocations.items()},
-        "retained": {
-            str(uid): [_encode_window(encoder, memo, window) for window in windows]
-            for uid, windows in recovery._retained.items()
-        },
     }
 
 
-def snapshot_metascheduler(
-    meta: Metascheduler, *, memo: SnapshotMemo | None = None
-) -> dict[str, Any]:
+def _encode_state(meta: Metascheduler) -> dict[str, Any]:
+    """The metascheduler's own fields, all but its fault-recovery store."""
+    return {
+        "period": meta.period,
+        "horizon": meta.horizon,
+        "min_slot_length": meta.min_slot_length,
+        "max_batch_size": meta.max_batch_size,
+        "max_postponements": meta.max_postponements,
+        "max_pending": meta.max_pending,
+        "admission_rejections": meta.admission_rejections,
+        "iteration": meta._iteration,
+        "pending": [job.uid for job in meta._pending],
+        "submissions": [[time, job.uid] for time, job in meta._submissions],
+        "outage_counts": dict(meta._outage_counts),
+        "revoked_at": {str(uid): tick for uid, tick in meta._revoked_at.items()},
+        "demand_pricing": _encode_pricing(meta.demand_pricing),
+    }
+
+
+def snapshot_metascheduler(meta: Metascheduler) -> dict[str, Any]:
     """Encode the full state of a metascheduler run as one JSON document.
 
     Everything the scheduling cycle depends on is captured: the
@@ -294,66 +224,179 @@ def snapshot_metascheduler(
     The recovery *audit log* (``RecoveryManager.events``) is
     observability, not scheduling state, and is not persisted.
 
-    With a ``memo``, payloads of immutable objects it cached for the
-    previous snapshot are reused (shared, not copied) and the memo is
-    left holding exactly this snapshot's objects; pass the same memo to
-    :func:`save_snapshot` to reuse their JSON text too.
+    This is the logical document: a :class:`DurableMetascheduler` writes
+    the same bytes from its text cache without building it.
     """
-    memo = memo if memo is not None else SnapshotMemo()
-    memo._begin()
-    try:
-        return _snapshot(meta, memo)
-    finally:
-        memo._end()
-
-
-def _snapshot(meta: Metascheduler, memo: SnapshotMemo) -> dict[str, Any]:
     encoder = _Encoder()
-    environment = _encode_environment(encoder, memo, meta.environment)
-    trace = []
-    for record in meta.trace:
-        trace.append(
-            {
-                "job": memo.payload(record.job, encoder.job),
-                "submit_time": record.submit_time,
-                "state": record.state.value,
-                "window": None
-                if record.window is None
-                else _encode_window(encoder, memo, record.window),
-                "scheduled_iteration": record.scheduled_iteration,
-                "postponements": record.postponements,
-                "resubmissions": record.resubmissions,
-                "recoveries": record.recoveries,
-            }
-        )
-    reports = memo.payloads(meta.reports, _encode_report)
-    recovery = _encode_recovery(encoder, memo, meta.recovery)
+    clusters = [
+        {
+            "name": cluster.name,
+            "nodes": [
+                {
+                    "resource": encoder.resource(node.resource),
+                    "intervals": [_encode_interval(interval) for interval in node.schedule],
+                }
+                for node in cluster
+            ],
+        }
+        for cluster in meta.environment.clusters
+    ]
+    trace = [
+        {
+            "job": encoder.job(record.job),
+            "window": None if record.window is None else encoder.window(record.window),
+            **_encode_record(record),
+        }
+        for record in meta.trace
+    ]
+    recovery = None
+    if meta.recovery is not None:
+        recovery = _encode_recovery(meta.recovery)
+        recovery["retained"] = {
+            str(uid): [encoder.window(window) for window in windows]
+            for uid, windows in meta.recovery._retained.items()
+        }
     return {
         "format": CHECKPOINT_FORMAT,
-        "environment": environment,
+        "environment": {"clusters": clusters},
         "scheduler": _encode_scheduler(meta.scheduler.config),
-        "metascheduler": {
-            "period": meta.period,
-            "horizon": meta.horizon,
-            "min_slot_length": meta.min_slot_length,
-            "max_batch_size": meta.max_batch_size,
-            "max_postponements": meta.max_postponements,
-            "max_pending": meta.max_pending,
-            "admission_rejections": meta.admission_rejections,
-            "iteration": meta._iteration,
-            "pending": [job.uid for job in meta._pending],
-            "submissions": [[time, job.uid] for time, job in meta._submissions],
-            "outage_counts": dict(meta._outage_counts),
-            "revoked_at": {str(uid): tick for uid, tick in meta._revoked_at.items()},
-            "demand_pricing": _encode_pricing(meta.demand_pricing),
-            "recovery": recovery,
-        },
+        "metascheduler": {**_encode_state(meta), "recovery": recovery},
         "trace": trace,
-        "reports": reports,
+        "reports": [_encode_report(report) for report in meta.reports],
         # The interned resource table last: encoding the environment and
         # every window above fills it.
         "resources": list(encoder.resources.values()),
     }
+
+
+class _SnapshotText:
+    """A durable run's snapshot text, cached at the grain where state changes.
+
+    :meth:`render` returns ``_canonical(snapshot_metascheduler(meta) |
+    extra)`` in one pass, reusing the text of the previous render:
+
+    * jobs, windows, busy intervals and iteration reports never change;
+      their text is keyed by identity, and each entry holds its object so
+      the id cannot be reused while the entry lives;
+    * a node's text is keyed by its resource uid and its intervals;
+    * a trace record's text is keyed by its job and window and the values
+      of its own fields.
+
+    Each render keeps exactly the entries it used, so the cache holds the
+    current state and nothing older.
+    """
+
+    __slots__ = ("_objects", "_nodes", "_records")
+
+    def __init__(self) -> None:
+        #: ``id(obj)`` -> ``(obj, text)`` for every immutable object.
+        self._objects: dict[int, tuple[Any, str]] = {}
+        #: ``(uid, *interval ids)`` -> (the intervals' entries, node text).
+        self._nodes: dict[tuple[int, ...], tuple[dict[int, tuple[Any, str]], str]] = {}
+        #: ``(id(job), id(window), *field values)`` -> record text.
+        self._records: dict[tuple[Any, ...], str] = {}
+
+    def __len__(self) -> int:
+        return len(self._objects)
+
+    def __contains__(self, obj: object) -> bool:
+        entry = self._objects.get(id(obj))
+        return entry is not None and entry[0] is obj
+
+    def render(self, meta: Metascheduler, extra: dict[str, Any]) -> str:
+        """The snapshot text of ``meta`` with the ``extra`` top-level keys."""
+        old_objects, old_nodes, old_records = self._objects, self._nodes, self._records
+        objects: dict[int, tuple[Any, str]] = {}
+        nodes: dict[tuple[int, ...], tuple[dict[int, tuple[Any, str]], str]] = {}
+        records: dict[tuple[Any, ...], str] = {}
+        self._objects, self._nodes, self._records = objects, nodes, records
+        encoder = _Encoder()
+
+        def text(obj: Any, encode: Callable[[Any], Any]) -> str:
+            key = id(obj)
+            entry = objects.get(key) or old_objects.get(key)
+            if entry is None:
+                entry = (obj, _canonical(encode(obj)))
+            objects[key] = entry
+            return entry[1]
+
+        def window_text(window: Window) -> str:
+            if id(window) in old_objects:
+                # Intern the resources as encoding the window would, so
+                # the resource table comes out in the same order.
+                for allocation in window.allocations:
+                    encoder.resource(allocation.source.resource)
+            return text(window, encoder.window)
+
+        clusters = []
+        for cluster in meta.environment.clusters:
+            node_texts = []
+            for node in cluster:
+                uid = encoder.resource(node.resource)
+                key = (uid, *map(id, node.schedule))
+                entry = old_nodes.get(key)
+                if entry is None:
+                    intervals = {
+                        id(interval): old_objects.get(id(interval))
+                        or (interval, _canonical(_encode_interval(interval)))
+                        for interval in node.schedule
+                    }
+                    intervals_text = ",".join([entry[1] for entry in intervals.values()])
+                    entry = (
+                        intervals,
+                        _object({"resource": uid}, {"intervals": f"[{intervals_text}]"}),
+                    )
+                objects.update(entry[0])
+                nodes[key] = entry
+                node_texts.append(entry[1])
+            nodes_text = ",".join(node_texts)
+            clusters.append(_object({"name": cluster.name}, {"nodes": f"[{nodes_text}]"}))
+
+        trace = []
+        for record in meta.trace:
+            job, window = record.job, record.window
+            job_text = text(job, encoder.job)
+            window_json = "null" if window is None else window_text(window)
+            key = (
+                id(job),
+                id(window),
+                record.state,
+                record.scheduled_iteration,
+                record.postponements,
+                record.resubmissions,
+                record.recoveries,
+                record.submit_time,
+            )
+            record_text = old_records.get(key)
+            if record_text is None:
+                record_text = _object(
+                    _encode_record(record), {"job": job_text, "window": window_json}
+                )
+            records[key] = record_text
+            trace.append(record_text)
+
+        reports = [text(report, _encode_report) for report in meta.reports]
+        recovery = "null"
+        if meta.recovery is not None:
+            retained = {
+                str(uid): f"[{','.join([window_text(window) for window in windows])}]"
+                for uid, windows in meta.recovery._retained.items()
+            }
+            recovery = _object(
+                _encode_recovery(meta.recovery), {"retained": _object({}, retained)}
+            )
+        return _object(
+            {"format": CHECKPOINT_FORMAT, "scheduler": _encode_scheduler(meta.scheduler.config)}
+            | extra,
+            {
+                "environment": _object({}, {"clusters": f"[{','.join(clusters)}]"}),
+                "metascheduler": _object(_encode_state(meta), {"recovery": recovery}),
+                "trace": f"[{','.join(trace)}]",
+                "reports": f"[{','.join(reports)}]",
+                # Last: the environment and every window above fill it.
+                "resources": _canonical(list(encoder.resources.values())),
+            },
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -590,59 +633,11 @@ def restore_metascheduler(data: dict[str, Any]) -> Metascheduler:
 # --------------------------------------------------------------------- #
 
 
-#: Marks where :class:`SnapshotMemo` payloads sit in a snapshot document.
-_MEMOIZED = object()
-#: Any key of a mapping keyed by job uid.
-_ANY_KEY = "*"
-#: The only paths :func:`save_snapshot` descends to splice memoized text:
-#: a dict maps keys to sub-paths, a one-item list applies its item to
-#: every element.  Everything else is encoded by ``json.dumps``.
-_MEMOIZED_PATHS: dict[str, Any] = {
-    "environment": {"clusters": [{"nodes": [{"intervals": [_MEMOIZED]}]}]},
-    "trace": [{"job": _MEMOIZED, "window": _MEMOIZED}],
-    "reports": [_MEMOIZED],
-    "metascheduler": {"recovery": {"retained": {_ANY_KEY: [_MEMOIZED]}}},
-}
-
-
-def _splice(value: Any, path: Any, memo: SnapshotMemo) -> str:
-    """``_canonical(value)``, reusing the memo's text along ``path``."""
-    if path is _MEMOIZED:
-        return memo.texts((value,))[0]
-    if type(path) is list and type(value) is list:
-        if path[0] is _MEMOIZED:
-            return "[" + ",".join(memo.texts(value)) + "]"
-        return "[" + ",".join([_splice(item, path[0], memo) for item in value]) + "]"
-    if (
-        type(path) is dict
-        and type(value) is dict
-        and all(type(key) is str for key in value)
-    ):
-        # Keys off the path are encoded together, one json.dumps per run
-        # of consecutive (sorted) keys, with the run's braces stripped.
-        parts = []
-        run: dict[str, Any] = {}
-        for key in sorted(value):
-            sub = path.get(key, path.get(_ANY_KEY))
-            if sub is None:
-                run[key] = value[key]
-                continue
-            if run:
-                parts.append(_canonical(run)[1:-1])
-                run = {}
-            parts.append(encode_basestring_ascii(key) + ":" + _splice(value[key], sub, memo))
-        if run:
-            parts.append(_canonical(run)[1:-1])
-        return "{" + ",".join(parts) + "}"
-    return _canonical(value)
-
-
 def save_snapshot(
-    data: dict[str, Any],
+    data: dict[str, Any] | Callable[[], str],
     path: str | Path,
     *,
     fs: FileSystem | None = None,
-    memo: SnapshotMemo | None = None,
 ) -> Path:
     """Write a snapshot document atomically: tmp + fsync + rename.
 
@@ -653,10 +648,9 @@ def save_snapshot(
     can fail the write, the fsync, or the publishing rename.
 
     The file holds ``json.dumps(data, separators=(",", ":"),
-    sort_keys=True)`` and a newline.  With the ``memo`` that
-    :func:`snapshot_metascheduler` filled for ``data``, the text of its
-    memoized payloads is spliced in rather than encoded again; the bytes
-    are the same.
+    sort_keys=True)`` and a newline.  ``data`` may instead be a function
+    returning that text; it is called here, so the
+    ``checkpoint.snapshot`` phase times the encoding as well as the I/O.
 
     Raises:
         PersistenceError: When the snapshot cannot be written.
@@ -666,7 +660,7 @@ def save_snapshot(
     tmp = path.with_name(path.name + ".tmp")
     telemetry = get_telemetry()
     began = perf_counter() if telemetry.enabled else 0.0
-    text = _canonical(data) if memo is None else _splice(data, _MEMOIZED_PATHS, memo)
+    text = data() if callable(data) else _canonical(data)
     try:
         with fs.open(tmp, "w") as stream:
             fs.write(stream, text + "\n")
@@ -760,7 +754,7 @@ class DurableMetascheduler:
         self.snapshot_every = snapshot_every
         self._since_snapshot = 0
         self._fs = fs if fs is not None else REAL_FS
-        self._snapshot_memo = SnapshotMemo()
+        self._snapshot_text = _SnapshotText()
         self._journal = JournalWriter(
             self.directory / JOURNAL_NAME,
             fsync=fsync,
@@ -843,16 +837,17 @@ class DurableMetascheduler:
 
     def snapshot(self) -> Path:
         """Write an atomic snapshot now; resets the journal watermark."""
-        data = snapshot_metascheduler(self.meta, memo=self._snapshot_memo)
-        data["journal_seq"] = self._journal.next_seq
+        extra: dict[str, Any] = {"journal_seq": self._journal.next_seq}
         telemetry = get_telemetry()
         if telemetry.enabled and telemetry.context is not None:
             # A restored run re-attaches this context, so trace shards
             # recorded before and after the crash carry the same trace id
             # and merge into one tree.
-            data["trace_context"] = telemetry.context.to_dict()
+            extra["trace_context"] = telemetry.context.to_dict()
         path = save_snapshot(
-            data, self.snapshot_path, fs=self._fs, memo=self._snapshot_memo
+            lambda: self._snapshot_text.render(self.meta, extra),
+            self.snapshot_path,
+            fs=self._fs,
         )
         self._since_snapshot = 0
         return path

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+from time import perf_counter
 
 import pytest
 
 from repro.core import Job, Resource, ResourceRequest, Slot, TaskAllocation, Window
 from repro.core.errors import CheckpointMismatchError, PersistenceError
 from repro.core.fsio import FileSystem
+from repro.core.serialize import _Encoder
 from repro.grid import (
     Cluster,
     ComputeNode,
@@ -22,12 +24,13 @@ from repro.grid import checkpoint
 from repro.grid.checkpoint import (
     CHECKPOINT_FORMAT,
     DurableMetascheduler,
-    SnapshotMemo,
     load_snapshot,
     restore_metascheduler,
     save_snapshot,
     snapshot_metascheduler,
 )
+from repro.obs import TraceContext
+from repro.obs.telemetry import configure, disable, get_telemetry
 
 
 def build_meta(**kwargs) -> Metascheduler:
@@ -357,31 +360,39 @@ def live_objects(meta: Metascheduler) -> dict[int, object]:
     return {id(obj): obj for obj in objects}
 
 
+def stdlib_text(document: dict) -> str:
+    return json.dumps(document, separators=(",", ":"), sort_keys=True) + "\n"
+
+
 class TestSnapshotMemo:
+    """The durable run's snapshot text cache, checked against the stdlib."""
+
     @pytest.fixture
     def checked(self, monkeypatch):
         """Checks every snapshot a durable run writes against the stdlib.
 
-        The file must hold ``json.dumps`` of a memo-free encoding plus
-        the journal watermark, and the run's memo exactly its live
-        objects.  Yields the list of retained-window counts seen.
+        The file must hold ``json.dumps`` of :func:`snapshot_metascheduler`
+        plus the journal watermark (and the trace context, when telemetry
+        carries one), and the run's text cache exactly its live objects.
+        Yields the list of retained-window counts seen.
         """
         seen: list[int] = []
         save = checkpoint.save_snapshot
 
-        def save_and_check(data, path, *, fs=None, memo=None):
-            written = save(data, path, fs=fs, memo=memo)
+        def save_and_check(data, path, *, fs=None):
+            written = save(data, path, fs=fs)
             durable = runs[-1]
-            expected = snapshot_metascheduler(durable.meta)
-            expected["journal_seq"] = durable._journal.next_seq
-            assert data == expected
-            assert written.read_text(encoding="utf-8") == (
-                json.dumps(expected, separators=(",", ":"), sort_keys=True) + "\n"
-            )
+            expected = snapshot_metascheduler(durable.meta) | {
+                "journal_seq": durable._journal.next_seq
+            }
+            telemetry = get_telemetry()
+            if telemetry.enabled and telemetry.context is not None:
+                expected["trace_context"] = telemetry.context.to_dict()
+            assert written.read_text(encoding="utf-8") == stdlib_text(expected)
+            cache = durable._snapshot_text
             live = live_objects(durable.meta)
-            assert memo is durable._snapshot_memo
-            assert len(memo) == len(live)
-            assert all(obj in memo for obj in live.values())
+            assert len(cache) == len(live)
+            assert all(obj in cache for obj in live.values())
             seen.append(sum(len(w) for w in durable.meta.recovery._retained.values()))
             return written
 
@@ -396,6 +407,24 @@ class TestSnapshotMemo:
         monkeypatch.setattr(DurableMetascheduler, "__init__", tracked_init)
         return seen
 
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """Every object the snapshot encoders are called on, in call order."""
+        calls: list[object] = []
+
+        def counting(encode):
+            def wrapper(*args):
+                calls.append(args[-1])
+                return encode(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(_Encoder, "window", counting(_Encoder.window))
+        monkeypatch.setattr(_Encoder, "job", counting(_Encoder.job))
+        monkeypatch.setattr(checkpoint, "_encode_interval", counting(checkpoint._encode_interval))
+        monkeypatch.setattr(checkpoint, "_encode_report", counting(checkpoint._encode_report))
+        return calls
+
     def test_every_snapshot_is_byte_identical_to_stdlib_json(self, tmp_path, checked):
         durable = build_recovery_run(tmp_path)
         run_ticks(durable, range(16))
@@ -406,6 +435,31 @@ class TestSnapshotMemo:
         assert max(checked) > 0  # some snapshots carried retained windows
         assert len(checked) == 1 + 16 // 2 + 1
 
+    def test_a_postponed_record_is_rewritten_at_every_snapshot(self, tmp_path, checked):
+        durable = build_recovery_run(tmp_path, snapshot_every=1)
+        wide = make_job(99, nodes=9)  # wider than the whole VO
+        durable.submit(wide, at_time=0.0)
+        run_ticks(durable, range(4))
+        record = durable.meta.trace.record_for(wide)
+        assert record.state is JobState.PENDING
+        assert record.postponements == 4
+        assert len(checked) == 1 + 4
+
+    def test_traced_run_writes_its_context_after_the_trace(self, tmp_path, checked):
+        context = TraceContext.derive(20110368).child("metascheduler")
+        configure(context=context)
+        try:
+            durable = build_recovery_run(tmp_path)
+            run_ticks(durable, range(6))
+            durable.close()
+        finally:
+            disable()
+        assert len(checked) == 1 + 6 // 2 + 1
+        # "trace_context" sorts after "trace", so it closes the document.
+        assert durable.snapshot_path.read_text(encoding="utf-8").endswith(
+            ',"trace_context":' + stdlib_text(context.to_dict())[:-1] + "}\n"
+        )
+
     def test_restored_run_continues_byte_identical_with_a_fresh_memo(
         self, tmp_path, checked
     ):
@@ -413,7 +467,7 @@ class TestSnapshotMemo:
         run_ticks(durable, range(7))
         # No close(): the journal tail past the last snapshot is replayed.
         restored = DurableMetascheduler.restore(tmp_path, snapshot_every=3, fsync=False)
-        assert len(restored._snapshot_memo) == 0
+        assert len(restored._snapshot_text) == 0
         before = len(checked)
         run_ticks(restored, range(7, 16))
         restored.close()
@@ -423,7 +477,7 @@ class TestSnapshotMemo:
         durable = build_recovery_run(tmp_path, snapshot_every=100)
         run_ticks(durable, range(4))
         durable.snapshot()
-        memo = durable._snapshot_memo
+        cache = durable._snapshot_text
         node = next(durable.meta.environment.nodes())
         released, *rest = node.schedule.intervals()
         node.schedule.release(released)
@@ -431,23 +485,23 @@ class TestSnapshotMemo:
         labelled = [iv for iv in node.schedule if iv.label == label]
         assert node.schedule.release_label(label) == len(labelled)
         report = durable.run_iteration(200.0)
-        assert report not in memo
+        assert report not in cache
         durable.snapshot()
-        assert released not in memo
-        assert not any(interval in memo for interval in labelled)
-        assert report in memo
+        assert released not in cache
+        assert not any(interval in cache for interval in labelled)
+        assert report in cache
 
     def test_memo_swaps_out_a_revoked_window(self, tmp_path, checked):
         durable = build_recovery_run(tmp_path, snapshot_every=100)
         run_ticks(durable, range(2))
         durable.snapshot()
-        memo = durable._snapshot_memo
+        cache = durable._snapshot_text
         meta = durable.meta
         record = next(
             record for record in meta.trace if record.state is JobState.SCHEDULED
         )
         revoked = record.window
-        assert revoked in memo
+        assert revoked in cache
         allocation = revoked.allocations[0]
         node = next(
             node for node in meta.environment.nodes() if node.resource is allocation.resource
@@ -455,32 +509,78 @@ class TestSnapshotMemo:
         durable.inject_outage(node, allocation.start, allocation.start + 10.0)
         assert record.window is not revoked
         durable.snapshot()
-        assert revoked not in memo
+        assert revoked not in cache
         if record.window is not None:
-            assert record.window in memo
+            assert record.window in cache
 
     def test_save_without_a_memo_writes_the_same_bytes(self, tmp_path):
         durable = build_recovery_run(tmp_path / "run")
         run_ticks(durable, range(6))
-        memo = SnapshotMemo()
-        plain = save_snapshot(snapshot_metascheduler(durable.meta), tmp_path / "plain.json")
-        # Two rounds, so the second splices text cached by the first.
+        meta, extra = durable.meta, {"journal_seq": 0}
+        plain = save_snapshot(snapshot_metascheduler(meta) | extra, tmp_path / "plain.json")
+        cache = checkpoint._SnapshotText()
+        # Two rounds, so the second joins text cached by the first.
         for name in ("first.json", "second.json"):
-            data = snapshot_metascheduler(durable.meta, memo=memo)
-            spliced = save_snapshot(data, tmp_path / name, memo=memo)
-            assert spliced.read_bytes() == plain.read_bytes()
+            cached = save_snapshot(lambda: cache.render(meta, extra), tmp_path / name)
+            assert cached.read_bytes() == plain.read_bytes()
 
     def test_memo_hit_interns_the_window_resources_in_order(self):
         # Windows on resources no node publishes put those resources in
-        # the table in window order; a memo hit must keep that order.
+        # the table in window order; a cache hit must keep that order.
         meta = build_meta()
         for index, uid in enumerate((990, 980)):
             job = make_job(index, nodes=1)
             record = meta.trace.add(job, 0.0)
             source = Slot(Resource(f"foreign{uid}", uid=uid), 0.0, 100.0)
             record.window = Window(job.request, [TaskAllocation(source, 0.0, 60.0)])
-        memo = SnapshotMemo()
-        snapshot_metascheduler(meta, memo=memo)
-        again = snapshot_metascheduler(meta, memo=memo)
-        assert again == snapshot_metascheduler(meta)
-        assert [entry["uid"] for entry in again["resources"]][-2:] == [990, 980]
+        cache = checkpoint._SnapshotText()
+        cache.render(meta, {})
+        again = cache.render(meta, {})
+        assert again + "\n" == stdlib_text(snapshot_metascheduler(meta))
+        assert [entry["uid"] for entry in json.loads(again)["resources"]][-2:] == [990, 980]
+
+    def test_a_repeated_snapshot_encodes_nothing(self, tmp_path, encoded):
+        durable = build_recovery_run(tmp_path, snapshot_every=100)
+        run_ticks(durable, range(6))
+        durable.snapshot()
+        assert encoded
+        encoded.clear()
+        durable.snapshot()
+        assert encoded == []
+
+    def test_a_tick_encodes_only_the_objects_it_created(self, tmp_path, encoded):
+        durable = build_recovery_run(tmp_path, snapshot_every=100)
+        run_ticks(durable, range(6))
+        durable.snapshot()
+        before = live_objects(durable.meta)
+        encoded.clear()
+        report = durable.run_iteration(300.0)
+        durable.snapshot()
+        created = live_objects(durable.meta).keys() - before.keys()
+        assert id(report) in created
+        assert sorted(id(obj) for obj in encoded) == sorted(created)
+
+
+class TestSnapshotPhaseTimer:
+    def test_snapshot_phase_covers_the_render(self, tmp_path, monkeypatch):
+        rendered: list[float] = []
+        render = checkpoint._SnapshotText.render
+
+        def timed_render(self, meta, extra):
+            began = perf_counter()
+            try:
+                return render(self, meta, extra)
+            finally:
+                rendered.append(perf_counter() - began)
+
+        monkeypatch.setattr(checkpoint._SnapshotText, "render", timed_render)
+        telemetry = configure()
+        try:
+            durable = build_recovery_run(tmp_path)
+            run_ticks(durable, range(6))
+            durable.close()
+            phase = telemetry.registry.get("phase.seconds", phase="checkpoint.snapshot")
+        finally:
+            disable()
+        assert phase.count == len(rendered) == 1 + 6 // 2 + 1
+        assert phase.total >= sum(rendered)
