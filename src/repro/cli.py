@@ -13,7 +13,7 @@ Subcommands:
   virtual organization and print the workload-trace summary;
 * ``stats``      — render the summary of saved telemetry trace(s);
   several shards (or ``--merge``) are merged into one logical trace
-  first, and ``--prometheus`` emits the text exposition format instead;
+  first;
 * ``explain``    — replay the recorded decision path of one job
   (``--job J``) from a trace's decision log;
 * ``profile``    — per-phase cost attribution (index scan, feasibility,
@@ -318,18 +318,7 @@ def _cmd_vo(args: argparse.Namespace) -> int:
         f"iterations: {len(meta.reports)}, backlog: {meta.backlog()}, "
         f"utilization: {environment.utilization(0.0, args.until):.2%}"
     )
-    if args.statements:
-        from repro.grid import owner_statement, user_statement
-
-        print("\nowners' statement:")
-        print(owner_statement(environment, 0.0, args.until + args.horizon).render())
-        print("\nusers' statement:")
-        print(user_statement(meta.trace).render())
-    else:
-        print(
-            f"owner income: {environment.total_income(0.0, args.until + args.horizon):.2f} "
-            "(pass --statements for full billing)"
-        )
+    print(f"owner income: {environment.total_income(0.0, args.until + args.horizon):.2f}")
     return 0
 
 
@@ -394,9 +383,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     failed = _reject_empty_trace(data, args.trace_file)
     if failed is not None:
         return failed
-    if args.prometheus:
-        print(obs.prometheus_from_trace(data))
-        return 0
     print(obs.render_trace_summary(data))
     return 0
 
@@ -554,11 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     vo.add_argument("--horizon", type=float, default=800.0)
     vo.add_argument("--seed", type=int, default=7)
     vo.add_argument(
-        "--statements",
-        action="store_true",
-        help="print the owners' and users' billing statements",
-    )
-    vo.add_argument(
         "--mtbf",
         type=_positive_float,
         default=None,
@@ -661,11 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stats",
         help="render the summary of saved telemetry trace(s)",
         parents=[shard_options],
-    )
-    stats.add_argument(
-        "--prometheus",
-        action="store_true",
-        help="emit the Prometheus text exposition format instead of the summary",
     )
     stats.set_defaults(handler=_cmd_stats)
 

@@ -72,13 +72,6 @@ from repro.core.audit import (
 from repro.core.coschedule import BatchAssignment, BatchStrategy, coallocate_batch
 from repro.core.pricing import BudgetPolicy, DemandAdjustedPricing, ExponentialPricing
 from repro.core.resource import DEFAULT_PRICE_BASE, Resource, price_of_performance
-from repro.core.serialize import (
-    Scenario,
-    load_scenario,
-    save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
 from repro.core.scheduler import (
     BatchScheduler,
     InfeasiblePolicy,
@@ -149,12 +142,6 @@ __all__ = [
     "concurrency_profile",
     "alive_profile",
     "supply_summary",
-    # serialization
-    "Scenario",
-    "scenario_to_dict",
-    "scenario_from_dict",
-    "save_scenario",
-    "load_scenario",
     # durable state
     "JournalRecord",
     "JournalWriter",

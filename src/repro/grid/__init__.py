@@ -20,14 +20,6 @@ builds that somewhere:
 * :mod:`repro.grid.trace` — job life-cycle records and run metrics.
 """
 
-from repro.grid.accounting import (
-    OwnerLine,
-    OwnerStatement,
-    UserLine,
-    UserStatement,
-    owner_statement,
-    user_statement,
-)
 from repro.grid.arrivals import BurstyArrivals, PoissonArrivals
 from repro.grid.checkpoint import (
     DurableMetascheduler,
@@ -75,12 +67,6 @@ __all__ = [
     "SimulationDriver",
     "SimulationEvent",
     "EventKind",
-    "OwnerStatement",
-    "OwnerLine",
-    "UserStatement",
-    "UserLine",
-    "owner_statement",
-    "user_statement",
     "Cluster",
     "ClusterSpec",
     "LocalJobFlow",

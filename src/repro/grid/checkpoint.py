@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from time import perf_counter
@@ -60,17 +61,16 @@ from typing import Any, Callable
 from repro.core import job as job_module
 from repro.core import resource as resource_module
 from repro.core.criteria import Criterion
-from repro.core.errors import CheckpointMismatchError, PersistenceError
+from repro.core.errors import CheckpointMismatchError, InvalidRequestError, PersistenceError
 from repro.core.fsio import REAL_FS, FileSystem
 from repro.core.journal import JournalWriter, read_journal
 from repro.core.pricing import DemandAdjustedPricing, ExponentialPricing
 from repro.core.resource import Resource
 from repro.core.scheduler import BatchScheduler, InfeasiblePolicy, SchedulerConfig
 from repro.core.search import SlotSearchAlgorithm
-from repro.core.serialize import _decode_request, _Encoder, _finite
 from repro.core.slot import Slot
 from repro.core.window import TaskAllocation, Window
-from repro.core.job import Job
+from repro.core.job import Job, ResourceRequest
 from repro.grid.cluster import Cluster
 from repro.grid.environment import VOEnvironment
 from repro.grid.metascheduler import IterationReport, Metascheduler
@@ -107,6 +107,90 @@ JOURNAL_NAME = "journal.jsonl"
 #: ``_canonical(value)`` is ``json.dumps(value, separators=(",", ":"),
 #: sort_keys=True)``; one encoder serves every call.
 _canonical = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+def _finite(value: float, what: str) -> float:
+    """Validate that a numeric field is finite; returns it as ``float``.
+
+    ``json.dumps`` happily emits ``NaN`` and ``Infinity`` (non-standard
+    JSON that many parsers reject), and a NaN slot time or price would
+    silently corrupt every downstream comparison.  Both encoding and
+    decoding funnel numeric fields through this guard so a bad value is
+    rejected loudly at the serialization boundary, not discovered as a
+    nonsense schedule later.
+
+    Raises:
+        InvalidRequestError: When the value is NaN or infinite (or not a
+            number at all).
+    """
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise InvalidRequestError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(value):
+        raise InvalidRequestError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+class _Encoder:
+    """Encodes core value objects, interning each resource once by uid.
+
+    Slots and windows refer to their resource by uid; :attr:`resources`
+    collects the table a document writes once, so decoding can hand every
+    reference to the same node the same ``Resource``.
+    """
+
+    def __init__(self) -> None:
+        self.resources: dict[int, dict[str, Any]] = {}
+
+    def resource(self, resource: Resource) -> int:
+        if resource.uid not in self.resources:
+            self.resources[resource.uid] = {
+                "uid": resource.uid,
+                "name": resource.name,
+                "performance": _finite(resource.performance, f"resource {resource.name!r} performance"),
+                "price": _finite(resource.price, f"resource {resource.name!r} price"),
+            }
+        return resource.uid
+
+    def slot(self, slot: Slot) -> dict[str, Any]:
+        return {
+            "resource": self.resource(slot.resource),
+            "start": _finite(slot.start, "slot start"),
+            "end": _finite(slot.end, "slot end"),
+            "price": _finite(slot.price, "slot price"),
+        }
+
+    def request(self, request: ResourceRequest) -> dict[str, Any]:
+        if math.isnan(request.max_price):
+            raise InvalidRequestError("request max_price must not be NaN")
+        return {
+            "node_count": request.node_count,
+            "volume": _finite(request.volume, "request volume"),
+            "min_performance": _finite(request.min_performance, "request min_performance"),
+            "max_price": None if math.isinf(request.max_price) else request.max_price,
+        }
+
+    def job(self, job: Job) -> dict[str, Any]:
+        return {
+            "uid": job.uid,
+            "name": job.name,
+            "priority": job.priority,
+            "request": self.request(job.request),
+        }
+
+    def window(self, window: Window) -> dict[str, Any]:
+        return {
+            "request": self.request(window.request),
+            "allocations": [
+                {
+                    "source": self.slot(allocation.source),
+                    "start": _finite(allocation.start, "allocation start"),
+                    "end": _finite(allocation.end, "allocation end"),
+                }
+                for allocation in window.allocations
+            ],
+        }
 
 
 def _object(values: dict[str, Any], texts: dict[str, str]) -> str:
@@ -402,6 +486,16 @@ class _SnapshotText:
 # --------------------------------------------------------------------- #
 # Snapshot decoding                                                     #
 # --------------------------------------------------------------------- #
+
+
+def _decode_request(payload: dict[str, Any]) -> ResourceRequest:
+    max_price = payload.get("max_price")
+    return ResourceRequest(
+        node_count=int(payload["node_count"]),
+        volume=_finite(payload["volume"], "request volume"),
+        min_performance=_finite(payload["min_performance"], "request min_performance"),
+        max_price=math.inf if max_price is None else _finite(max_price, "request max_price"),
+    )
 
 
 def _decode_resources(data: dict[str, Any]) -> dict[int, Resource]:

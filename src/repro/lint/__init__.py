@@ -33,9 +33,8 @@ of waiting for a 25 000-iteration differential run to diverge.  Run it
 as ``repro-lint src/`` (console script) or ``python -m repro.lint src/``;
 rules are one class each (:mod:`repro.lint.rules`,
 :mod:`repro.lint.flowrules`), findings print as
-``file:line:col CODE message`` (or SARIF 2.1.0 via ``--format sarif``),
-and ``# repro-lint: disable=...`` comments suppress line- or file-wide
-(and are counted).  See ``docs/static-analysis.md`` for the full rule
+``file:line:col CODE message``, and ``# repro-lint: disable=...``
+comments suppress line- or file-wide (and are counted).  See ``docs/static-analysis.md`` for the full rule
 catalog, the whole-program model and its conservatisms, and the
 suppression policy.
 """
@@ -76,7 +75,6 @@ from repro.lint.rules import (
     OrderedSerializationRule,
     rules_by_code,
 )
-from repro.lint.sarif import render_sarif, sarif_document
 from repro.lint.cli import main
 
 __all__ = [
@@ -113,9 +111,6 @@ __all__ = [
     "ExceptionContractRule",
     "ForkSafetyRule",
     "ResourceLifecycleRule",
-    # export
-    "render_sarif",
-    "sarif_document",
     # entry point
     "main",
 ]

@@ -8,9 +8,7 @@ Exit codes follow the usual linter contract:
 
 Findings go to stdout as ``file:line:col CODE message`` (one per line,
 machine-parseable); the summary goes to stderr so piping stdout into
-another tool stays clean.  ``--format sarif`` swaps the finding lines
-for a SARIF 2.1.0 document (CI artifact); ``--output`` redirects either
-format to a file.
+another tool stays clean.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from typing import Sequence, TextIO
 from repro.lint.base import Rule
 from repro.lint.engine import DEFAULT_RULES, LintReport, lint_paths
 from repro.lint.rules import rules_by_code
-from repro.lint.sarif import render_sarif
 
 __all__ = ["main", "build_parser"]
 
@@ -62,17 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--show-suppressed",
         action="store_true",
         help="also print findings silenced by inline directives",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "sarif"),
-        default="text",
-        help="finding output format (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        help="write findings/SARIF to FILE instead of stdout",
     )
     return parser
 
@@ -130,23 +116,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as error:
         sys.stderr.write(f"repro-lint: {error}\n")
         return 2
-    selected_for_catalog = rules if rules is not None else list(DEFAULT_RULES)
-    if args.output:
-        destination: TextIO = open(args.output, "w", encoding="utf-8")
-    else:
-        destination = sys.stdout
-    try:
-        if args.format == "sarif":
-            destination.write(render_sarif(report, selected_for_catalog))
-        else:
-            for finding in report.findings:
-                destination.write(finding.render() + "\n")
-            if args.show_suppressed:
-                for finding in report.suppressed:
-                    destination.write(finding.render() + " (suppressed)\n")
-    finally:
-        if args.output:
-            destination.close()
+    for finding in report.findings:
+        sys.stdout.write(finding.render() + "\n")
+    if args.show_suppressed:
+        for finding in report.suppressed:
+            sys.stdout.write(finding.render() + " (suppressed)\n")
     _print_summary(report, args.statistics, sys.stderr)
     return report.exit_code
 

@@ -419,12 +419,9 @@ _POOL_SHIP_METHODS = frozenset(
 class ForkSafetyRule(Rule):
     """RPR103: no files/locks/pools/pipes shipped to worker processes.
 
-    File objects, locks, and pools are process-local: pickled through a
-    pool they either fail loudly or (worse) arrive as divergent copies.
-    One exception is encoded: pipe ``Connection`` ends **may** ride in
-    ``Process(args=...)`` — handing a child its pipe at creation time is
-    the documented multiprocessing pattern — but never through a pool's
-    pickling methods.
+    File objects, locks, pools and pipe ends are process-local: pickled
+    through a pool or handed to ``Process(args=...)`` they either fail
+    loudly or (worse) arrive as divergent copies.
     """
 
     code = "RPR103"
@@ -489,27 +486,24 @@ class ForkSafetyRule(Rule):
                 if child is not function:
                     local_defs[child.name] = child
 
-        def argument_kind(expr: ast.expr) -> tuple[str, str] | None:
-            """(kind, description) when an argument is fork-unsafe."""
+        def unsafe_argument(expr: ast.expr) -> str | None:
+            """A description of the argument when it is fork-unsafe."""
             direct = constructor_kind(expr)
             if direct is not None:
-                return direct, f"a fresh {direct} object"
+                return f"a fresh {direct} object"
             if isinstance(expr, ast.Name):
                 if expr.id in unsafe:
-                    return unsafe[expr.id], f"{expr.id!r} (a {unsafe[expr.id]})"
+                    return f"{expr.id!r} (a {unsafe[expr.id]})"
                 if expr.id in local_defs:
                     captured = self._captured_unsafe(local_defs[expr.id], unsafe)
                     if captured is not None:
                         name, kind = captured
-                        return (
-                            kind,
-                            f"closure {expr.id!r} capturing {name!r} (a {kind})",
-                        )
+                        return f"closure {expr.id!r} capturing {name!r} (a {kind})"
             if isinstance(expr, ast.Lambda):
                 captured = self._captured_unsafe(expr, unsafe)
                 if captured is not None:
                     name, kind = captured
-                    return kind, f"a lambda capturing {name!r} (a {kind})"
+                    return f"a lambda capturing {name!r} (a {kind})"
             return None
 
         def ship_arguments(call: ast.Call) -> tuple[str, list[ast.expr]] | None:
@@ -550,13 +544,8 @@ class ForkSafetyRule(Rule):
                 continue
             site_kind, shipped = site
             for expr in shipped:
-                verdict = argument_kind(expr)
-                if verdict is None:
-                    continue
-                kind, description = verdict
-                # Pipe connections legitimately ride Process(args=...):
-                # the child inherits its end at creation time.
-                if kind == "pipe" and site_kind == "process":
+                description = unsafe_argument(expr)
+                if description is None:
                     continue
                 yield self.finding(
                     module,

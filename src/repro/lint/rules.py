@@ -44,7 +44,6 @@ SHARDED_PATHS = (
 #: Modules whose output is serialized, journaled, checksummed, or
 #: diffed byte-for-byte across runs.
 SERIALIZATION_PATHS = (
-    "core/serialize.py",
     "core/journal.py",
     "grid/checkpoint.py",
     "sim/checkpoint.py",

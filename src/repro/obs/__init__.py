@@ -19,8 +19,7 @@ telemetry is **off by default** and the disabled paths are engineered to
 cost nothing in the hot scan loops (see ``docs/observability.md`` for
 the full metric catalog, trace schema, and overhead notes).  Exporters
 (:mod:`repro.obs.export`) cover JSONL traces (replayed by
-``repro.cli stats``), the Prometheus text format, and human-readable
-summary tables.
+``repro.cli stats``) and human-readable summary tables.
 
 Wall-clock timestamps flow through the injectable
 :mod:`repro.obs.clock` — the single module the ``repro-lint`` RPR001
@@ -69,8 +68,6 @@ from repro.obs.telemetry import (
 from repro.obs.export import (
     TRACE_FORMAT,
     TraceData,
-    prometheus_from_trace,
-    prometheus_text,
     read_trace,
     render_summary,
     render_trace_summary,
@@ -127,8 +124,6 @@ __all__ = [
     "trace_records",
     "write_trace",
     "read_trace",
-    "prometheus_text",
-    "prometheus_from_trace",
     "render_summary",
     "render_trace_summary",
     # merge and profile

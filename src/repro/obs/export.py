@@ -1,14 +1,11 @@
-"""Exporters: JSONL traces, Prometheus text format, and summary tables.
+"""Exporters: JSONL traces and summary tables.
 
-Three audiences, three formats:
+Two audiences, two formats:
 
 * **machines, offline** — :func:`write_trace` / :func:`read_trace` dump
   and replay the whole telemetry state as JSON Lines (one object per
   line: a ``meta`` header, then ``metric``, ``span``, and ``event``
   records).  ``repro.cli stats`` is a thin wrapper over this pair.
-* **machines, scraping** — :func:`prometheus_text` renders the metric
-  registry in the Prometheus exposition format, so a future HTTP
-  endpoint (or a file-based node-exporter collector) needs no new code.
 * **humans** — :func:`render_summary` / :func:`render_trace_summary`
   produce the fixed-width tables the CLI prints after ``--metrics``,
   reusing the same :func:`repro.sim.ascii_plot.table` renderer as the
@@ -24,7 +21,6 @@ from dataclasses import dataclass, field
 from repro.core.errors import TelemetryError
 from repro.obs import clock
 from repro.obs.context import TraceContext
-from repro.obs.metrics import MetricRegistry
 from repro.obs.spans import SpanRecord
 from repro.obs.telemetry import Telemetry, get_telemetry
 
@@ -34,8 +30,6 @@ __all__ = [
     "trace_records",
     "write_trace",
     "read_trace",
-    "prometheus_text",
-    "prometheus_from_trace",
     "render_summary",
     "render_trace_summary",
 ]
@@ -218,84 +212,6 @@ def read_trace(path: str) -> TraceData:
                 f"{path}:{line_number}: unknown record kind {kind!r}"
             )
     return data
-
-
-def _split_key(key: str) -> tuple[str, dict[str, str]]:
-    """Split a canonical metric key into ``(name, labels)``."""
-    if "{" not in key:
-        return key, {}
-    name, _, label_text = key.partition("{")
-    labels = {}
-    for pair in label_text.rstrip("}").split(","):
-        if pair:
-            label, _, value = pair.partition("=")
-            labels[label] = value
-    return name, labels
-
-
-def _prometheus_name(name: str) -> str:
-    """A metric name made safe for the Prometheus exposition format."""
-    sanitized = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    return f"repro_{sanitized}"
-
-
-def _prometheus_labels(labels: dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{key}="{labels[key]}"' for key in sorted(labels))
-    return f"{{{inner}}}"
-
-
-def _prometheus_lines(snapshots: list[dict]) -> str:
-    """Shared renderer: instrument snapshots → Prometheus text format.
-
-    ``snapshots`` must be in sorted key order (the registry iterates
-    sorted; trace-backed callers sort before calling) so the output is
-    byte-stable for identical inputs.
-    """
-    lines: list[str] = []
-    typed: set[str] = set()
-    for snapshot in snapshots:
-        name, labels = _split_key(snapshot["name"])
-        prom = _prometheus_name(name)
-        kind = snapshot["kind"]
-        if prom not in typed:
-            lines.append(f"# TYPE {prom} {kind}")
-            typed.add(prom)
-        if kind in ("counter", "gauge"):
-            lines.append(f"{prom}{_prometheus_labels(labels)} {snapshot['value']:g}")
-        else:
-            for bound, cumulative in snapshot["buckets"]:
-                bucket_labels = dict(labels, le=f"{bound:g}")
-                lines.append(f"{prom}_bucket{_prometheus_labels(bucket_labels)} {cumulative}")
-            inf_labels = dict(labels, le="+Inf")
-            lines.append(f"{prom}_bucket{_prometheus_labels(inf_labels)} {snapshot['count']}")
-            lines.append(f"{prom}_sum{_prometheus_labels(labels)} {snapshot['sum']:g}")
-            lines.append(f"{prom}_count{_prometheus_labels(labels)} {snapshot['count']}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def prometheus_text(registry: MetricRegistry | None = None) -> str:
-    """Render a registry in the Prometheus text exposition format.
-
-    Counters/gauges become single samples; histograms expand into
-    cumulative ``_bucket`` series (``le`` labels) plus ``_sum`` and
-    ``_count``, exactly as a Prometheus client library would emit them.
-    """
-    registry = registry if registry is not None else get_telemetry().registry
-    return _prometheus_lines([metric.to_dict() for metric in registry])
-
-
-def prometheus_from_trace(data: TraceData) -> str:
-    """Render a recorded (or merged) trace's metrics as Prometheus text.
-
-    Same output contract as :func:`prometheus_text` — including the
-    histogram ``_bucket``/``le`` expansion — so a file-based collector
-    can scrape saved traces.  Snapshots are sorted by key first, making
-    the text byte-stable regardless of merge order.
-    """
-    snapshots = sorted(data.metrics, key=lambda snapshot: str(snapshot.get("name", "")))
-    return _prometheus_lines(snapshots)
 
 
 def _format_value(value: float) -> str:

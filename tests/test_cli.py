@@ -176,6 +176,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "scheduled" in out
         assert "utilization" in out
+        assert "owner income:" in out
 
 
 class TestTelemetryOptions:
@@ -316,12 +317,6 @@ class TestDecisionCommands:
         assert main(["stats"] + shards) == 0
         assert "search.batches" in capsys.readouterr().out
 
-    def test_stats_prometheus_from_merged_shards(self, capsys, shards):
-        assert main(["stats", "--merge", "--prometheus"] + shards) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE" in out
-        assert "_bucket" in out
-
     def test_empty_trace_exits_2_with_one_line_diagnostic(self, capsys, tmp_path):
         trace = tmp_path / "empty.jsonl"
         telemetry = obs.configure()
@@ -384,20 +379,3 @@ class TestReportOutput:
             == 2
         )
         assert "cannot write report" in capsys.readouterr().err
-
-
-class TestVoStatements:
-    def test_statements_flag_prints_billing(self, capsys):
-        assert (
-            main(
-                [
-                    "vo", "--until", "600", "--jobs", "3", "--nodes", "6",
-                    "--statements",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "owners' statement" in out
-        assert "users' statement" in out
-        assert "TOTAL" in out

@@ -9,6 +9,7 @@ shipped ``src`` tree is itself clean under the full rule set.
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -18,12 +19,14 @@ import pytest
 from repro.lint import (
     ALL_RULES,
     BroadExceptRule,
+    CallGraph,
     DerivedSeedRule,
     EntropyRule,
     Finding,
     GuardedTelemetryRule,
     NoAssertRule,
     OrderedSerializationRule,
+    Project,
     lint_paths,
     lint_source,
     module_key,
@@ -32,6 +35,7 @@ from repro.lint import (
 )
 from repro.lint.cli import main
 from repro.lint.engine import SYNTAX_ERROR_CODE
+from repro.lint.flowrules import WORKER_ENTRY_POINTS
 from repro.lint.rules import SERIALIZATION_PATHS, SHARDED_PATHS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -574,4 +578,15 @@ class TestSelfClean:
             for entry in SHARDED_PATHS + SERIALIZATION_PATHS
             if not (package / entry).is_file()
         ]
+        assert missing == []
+
+    def test_worker_entry_points_name_existing_functions(self):
+        # CallGraph.reachable ignores unknown roots, so a renamed entry
+        # point would silently narrow RPR101 to nothing.
+        files = []
+        for path in sorted(SRC.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            files.append((str(path.relative_to(REPO_ROOT)), source, ast.parse(source)))
+        graph = CallGraph.build(Project.build(files))
+        missing = [name for name in WORKER_ENTRY_POINTS if name not in graph.functions]
         assert missing == []

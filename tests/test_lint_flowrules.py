@@ -242,9 +242,7 @@ class TestForkSafetyRule:
         assert codes(report) == ["RPR103"]
         assert "closure" in report.findings[0].message
 
-    def test_pipe_connection_in_process_args_is_allowed(self):
-        # Handing a child its pipe end at creation time is the
-        # documented multiprocessing pattern.
+    def test_pipe_connection_in_process_args_is_flagged(self):
         report = self.run(
             "from multiprocessing import Pipe, Process\n"
             "def driver(fn):\n"
@@ -252,7 +250,8 @@ class TestForkSafetyRule:
             "    Process(target=fn, args=(child,)).start()\n"
             "    return parent\n"
         )
-        assert report.findings == []
+        assert codes(report) == ["RPR103"]
+        assert "'child' (a pipe)" in report.findings[0].message
 
     def test_pipe_through_pool_is_flagged(self):
         report = self.run(

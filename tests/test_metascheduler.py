@@ -209,6 +209,25 @@ class TestRun:
         assert summary.total_owner_income == pytest.approx(summary.total_cost)
         assert all(income > 0.0 for income in summary.owner_income.values())
 
+    def test_user_spend_equals_owner_income(self):
+        """Money conservation: what users pay is what owners earn."""
+        alpha = Cluster(
+            "alpha", [ComputeNode(f"a{i}", performance=1.0, price=2.0) for i in range(2)]
+        )
+        beta = Cluster(
+            "beta", [ComputeNode(f"b{i}", performance=1.0, price=4.0) for i in range(2)]
+        )
+        environment = VOEnvironment([alpha, beta])
+        meta = Metascheduler(environment, _scheduler(), period=50.0, horizon=400.0)
+        meta.submit(Job(ResourceRequest(2, 50.0, max_price=5.0), name="paid"))
+        meta.submit(Job(ResourceRequest(9, 50.0, max_price=5.0), name="unplaceable"))
+        meta.run(until=200.0)
+        placed = [record for record in meta.trace if record.window is not None]
+        assert [record.job.name for record in placed] == ["paid"]
+        spend = sum(record.cost for record in placed)
+        assert spend > 0.0
+        assert spend == pytest.approx(environment.total_income(0.0, 10_000.0))
+
 
 class TestMetaschedulerTelemetry:
     """The telemetry gauges and the audit log must agree by construction."""

@@ -397,21 +397,6 @@ class TestTraceExport:
             obs.read_trace(str(path))
 
 
-class TestPrometheusText:
-    def test_counters_gauges_and_histograms(self):
-        telemetry = _populated_telemetry()
-        text = obs.prometheus_text(telemetry.registry)
-        assert "# TYPE repro_search_slots_scanned counter" in text
-        assert 'repro_search_slots_scanned{algo="amp"} 120' in text
-        assert "repro_meta_backlog 4" in text
-        assert "repro_search_alternatives_per_job_count 1" in text
-        assert "repro_search_alternatives_per_job_sum 7" in text
-        assert 'le="+Inf"' in text
-
-    def test_empty_registry_renders_empty(self):
-        assert obs.prometheus_text(obs.MetricRegistry()) == ""
-
-
 class TestSummaries:
     def test_render_summary_lists_metrics_and_spans(self):
         telemetry = _populated_telemetry()
