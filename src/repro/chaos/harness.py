@@ -37,6 +37,7 @@ import json
 import random
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -60,7 +61,12 @@ from repro.grid.checkpoint import (
 )
 from repro.obs.telemetry import get_telemetry
 from repro.sim.checkpoint import ExperimentCheckpoint
-from repro.sim.experiment import ExperimentConfig, ExperimentRunner, ParallelRunner
+from repro.sim.experiment import (
+    ExperimentConfig,
+    ExperimentResult,
+    ExperimentRunner,
+    ParallelRunner,
+)
 
 __all__ = [
     "CAMPAIGN_NAMES",
@@ -305,6 +311,42 @@ def sweep_crash_points(
 # ---------------------------------------------------------------------- #
 
 
+def _crash_then_resume(
+    result: CampaignResult,
+    runner: Callable[[], ExperimentRunner | ParallelRunner],
+    reference: ExperimentResult,
+    kind: str,
+    mode: str,
+    record: int,
+    path: Path,
+) -> None:
+    """Crash a checkpointed run at outcome ``record``, then resume it.
+
+    ``runner`` builds a fresh runner for each run; the resumed result
+    must equal ``reference``, the uninterrupted series.
+    """
+    result.runs += 1
+    label = f"{kind}-{mode}@outcome-{record}"
+    plan = FaultPlan((FaultPoint("write", mode, index=record + 1, path=path.name),))
+    store = ExperimentCheckpoint(path, runner().config, resume=False, fs=ChaosFilesystem(plan))
+    crashed = False
+    try:
+        runner().run(checkpoint=store)
+    except SimulatedCrash:
+        crashed = True
+    result.injected += len(plan.injected)
+    if not crashed:
+        result.failures.append(f"{label}: fault never fired")
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        resumed = runner().run(checkpoint=str(path), resume=True)
+    if resumed != reference:
+        result.failures.append(
+            f"{label}: resumed result diverges from the uninterrupted run"
+        )
+
+
 def sweep_experiment_resume(
     base_dir: str | Path,
     *,
@@ -319,76 +361,26 @@ def sweep_experiment_resume(
     (full and torn), then the series is resumed from the checkpoint path
     and must merge to the uninterrupted result.  A second, sampled pass
     does the same through :class:`~repro.sim.experiment.ParallelRunner`
-    (two workers), exercising the checkpointed parallel path.
+    (two workers), exercising the checkpointed pool path.
     """
     base = Path(base_dir)
     base.mkdir(parents=True, exist_ok=True)
     config = ExperimentConfig(iterations=iterations, seed=seed)
     result = CampaignResult(name="experiment")
-    serial_reference = ExperimentRunner(config).run()
+    serial = partial(ExperimentRunner, config)
+    reference = serial().run()
     for mode in modes:
         for record in range(1, iterations + 1):
-            result.runs += 1
-            label = f"serial-{mode}@outcome-{record}"
             path = base / f"experiment-{mode}-{record:02d}.jsonl"
-            plan = FaultPlan(
-                (FaultPoint("write", mode, index=record + 1, path=path.name),)
-            )
-            store = ExperimentCheckpoint(
-                path, config, resume=False, fs=ChaosFilesystem(plan)
-            )
-            crashed = False
-            try:
-                ExperimentRunner(config).run(checkpoint=store)
-            except SimulatedCrash:
-                crashed = True
-            result.injected += len(plan.injected)
-            if not crashed:
-                result.failures.append(f"{label}: fault never fired")
-                continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                resumed = ExperimentRunner(config).run(
-                    checkpoint=str(path), resume=True
-                )
-            if resumed != serial_reference:
-                result.failures.append(
-                    f"{label}: resumed result diverges from the uninterrupted run"
-                )
-    # Parallel pass: same contract through the two-worker checkpointed
-    # path; sampled (one crash point per mode) to bound wall time.
-    parallel_reference = ParallelRunner(config, workers=2).run()
-    sample_seed = derive_fault_seed(seed, "experiment-parallel")
-    rng = random.Random(sample_seed)
+            _crash_then_resume(result, serial, reference, "serial", mode, record, path)
+    # Parallel pass: sampled (one crash point per mode) to bound wall time.
+    parallel = partial(ParallelRunner, config, workers=2)
+    reference = parallel().run()
+    rng = random.Random(derive_fault_seed(seed, "experiment-parallel"))
     for mode in modes:
         record = rng.randrange(1, iterations + 1)
-        result.runs += 1
-        label = f"parallel-{mode}@outcome-{record}"
         path = base / f"experiment-parallel-{mode}-{record:02d}.jsonl"
-        plan = FaultPlan(
-            (FaultPoint("write", mode, index=record + 1, path=path.name),)
-        )
-        store = ExperimentCheckpoint(
-            path, config, resume=False, fs=ChaosFilesystem(plan)
-        )
-        crashed = False
-        try:
-            ParallelRunner(config, workers=2).run(checkpoint=store)
-        except SimulatedCrash:
-            crashed = True
-        result.injected += len(plan.injected)
-        if not crashed:
-            result.failures.append(f"{label}: fault never fired")
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            resumed = ParallelRunner(config, workers=2).run(
-                checkpoint=str(path), resume=True
-            )
-        if resumed != parallel_reference:
-            result.failures.append(
-                f"{label}: resumed result diverges from the uninterrupted run"
-            )
+        _crash_then_resume(result, parallel, reference, "parallel", mode, record, path)
     return result
 
 

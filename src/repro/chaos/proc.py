@@ -27,12 +27,12 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.errors import InvalidRequestError
 
 if TYPE_CHECKING:
-    from repro.sim.experiment import ExperimentConfig, ExperimentResult
+    from repro.sim.experiment import ExperimentConfig, IterationOutcome
 
 __all__ = [
     "DEFAULT_SUPERVISOR",
@@ -104,20 +104,20 @@ DEFAULT_SUPERVISOR = WorkerSupervisor()
 
 @dataclass(frozen=True)
 class CrashOnceSpanTask:
-    """Span task that ``SIGKILL``s its own pool worker exactly once.
+    """Shard task that ``SIGKILL``s its own pool worker exactly once.
 
-    A drop-in for :func:`repro.sim.experiment._run_span` (the
+    A drop-in for :func:`repro.sim.experiment._run_indices` (the
     ``span_task`` seam of :class:`~repro.sim.experiment.ParallelRunner`):
-    the first worker whose span contains ``victim_index`` creates the
+    the first worker whose shard contains ``victim_index`` creates the
     sentinel file and kills itself — breaking the whole
     ``concurrent.futures`` pool, exactly like a real OOM-kill — and
-    every later attempt, which sees the sentinel, computes the span
+    every later attempt, which sees the sentinel, computes the shard
     normally.  Instances are pickled into the worker, so all state must
     be immutable values.
 
     Attributes:
         sentinel: Path used to remember that the kill already happened.
-        victim_index: Iteration index whose owning span triggers the
+        victim_index: Iteration index whose owning shard triggers the
             kill (faults target *work*, not worker identity, so the
             campaign is worker-count independent).
     """
@@ -126,18 +126,18 @@ class CrashOnceSpanTask:
     victim_index: int
 
     def __call__(
-        self, config: "ExperimentConfig", start: int, stop: int
-    ) -> "ExperimentResult":
-        """Run the span, killing this worker first if it is the victim.
+        self, config: "ExperimentConfig", indices: Sequence[int]
+    ) -> "list[IterationOutcome]":
+        """Run the shard, killing this worker first if it is the victim.
 
         Raises:
-            InvalidRequestError: When the victim span runs outside a
+            InvalidRequestError: When the victim shard runs outside a
                 process-mode pool worker, where the kill would take down
                 the calling process itself.
         """
-        from repro.sim.experiment import _run_span
+        from repro.sim.experiment import _run_indices
 
-        if start <= self.victim_index < stop and not Path(self.sentinel).exists():
+        if self.victim_index in indices and not Path(self.sentinel).exists():
             if multiprocessing.parent_process() is None:
                 raise InvalidRequestError(
                     "CrashOnceSpanTask only kills process-mode pool workers; "
@@ -145,4 +145,4 @@ class CrashOnceSpanTask:
                 )
             Path(self.sentinel).touch()
             os.kill(os.getpid(), signal.SIGKILL)
-        return _run_span(config, start, stop)
+        return _run_indices(config, indices)

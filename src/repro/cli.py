@@ -144,8 +144,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print("error: --resume requires --checkpoint PATH", file=sys.stderr)
         return 2
     if args.checkpoint is not None and args.resume:
-        from repro.sim import ExperimentCheckpoint, config_fingerprint  # noqa: F401
-
         # Resume status goes to stderr so stdout stays byte-comparable
         # with an uninterrupted run (the CI crash-resume smoke diffs it).
         print(

@@ -36,10 +36,9 @@ __all__ = [
 #: by the parallel engines.  Everything statically reachable from these
 #: runs under fork/spawn and must not depend on parent-process state.
 WORKER_ENTRY_POINTS = (
-    # ParallelRunner iteration shards (plain / traced / checkpoint-hole).
-    "repro.sim.experiment._run_span",
-    "repro.sim.experiment._run_span_traced",
+    # ParallelRunner iteration shards: untraced (fresh or resumed), traced.
     "repro.sim.experiment._run_indices",
+    "repro.sim.experiment._run_indices_traced",
     # Chaos-engine supervised span task (pool-shipped callable).
     "repro.chaos.proc.CrashOnceSpanTask.__call__",
 )
@@ -47,7 +46,7 @@ WORKER_ENTRY_POINTS = (
 #: Module-key prefixes exempt from RPR101.  The observability layer
 #: *is* per-process mutable context by contract: each worker installs
 #: its own telemetry/clock and ships the result back as a trace shard
-#: (see ``_run_span_traced``), so its module-level active-context slots
+#: (see ``_run_indices_traced``), so its module-level active-context slots
 #: are intentional — divergence is reconciled by the trace merger.
 SHARED_STATE_ALLOWLIST = ("repro/obs/",)
 

@@ -65,7 +65,6 @@ from repro.sim.stats import (
     AlgorithmStats,
     ComparisonRatios,
     ExperimentSummary,
-    merge_results,
     summarize,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "AlgorithmStats",
     "ComparisonRatios",
     "ExperimentSummary",
-    "merge_results",
     "summarize",
     "FigureData",
     "PAPER_REFERENCE",

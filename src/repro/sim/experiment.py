@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chaos.proc import WorkerSupervisor
@@ -65,11 +65,6 @@ __all__ = [
     "run_pipeline",
     "trace_shard_path",
 ]
-
-#: Result type of one supervised ``pool.map`` (span results or outcome
-#: lists, depending on the calling path).
-_SpanResult = TypeVar("_SpanResult")
-
 
 @dataclass(frozen=True)
 class AlgorithmSample:
@@ -257,7 +252,7 @@ def run_iteration(
     Pure function of its inputs — the shared building block of
     :class:`ExperimentRunner` (streamed RNG) and :class:`ParallelRunner`
     (per-iteration derived seeds).  ``memo`` is the caller-owned DP memo
-    (each runner/worker span holds one); memo hits are byte-identical to
+    (each runner/worker shard holds one); memo hits are byte-identical to
     recomputation, so the memo never affects results — only speed.
     """
     outcomes = {}
@@ -460,22 +455,6 @@ def _degrade_slots(config: ExperimentConfig, slots: SlotList, *, salt: int) -> S
     return apply_slot_outages(slots, config.failures, salt=salt)
 
 
-def _run_span(config: ExperimentConfig, start: int, stop: int) -> ExperimentResult:
-    """Run iterations ``[start, stop)`` of the seeded series (one shard).
-
-    The DP memo is span-local: created here, dropped with the span.
-    Worker processes therefore never share cache state — cross-cycle
-    reuse happens within one shard only (memo hits are byte-identical
-    to recomputation, so this is purely a speed matter).
-    """
-    accumulator = _SeriesAccumulator()
-    memo = DPMemo()
-    for index in range(start, stop):
-        slots, batch = generate_iteration(config, index)
-        accumulator.add(run_iteration(config, index, slots, batch, memo))
-    return accumulator.result(config, stop - start)
-
-
 def trace_shard_path(trace_base: str | Path, worker: int) -> Path:
     """Per-worker trace shard path: ``trace.jsonl`` → ``trace.w3.jsonl``."""
     base = Path(trace_base)
@@ -483,13 +462,39 @@ def trace_shard_path(trace_base: str | Path, worker: int) -> Path:
     return base.with_name(f"{base.stem}.w{worker}{suffix}")
 
 
-def _run_span_traced(
+def _iterate(
+    config: ExperimentConfig, indices: Sequence[int], memo: DPMemo
+) -> Iterator[IterationOutcome]:
+    """Run the listed iterations of the seeded series lazily, in order.
+
+    Each iteration's slot list and batch stay bound until the next ones
+    are drawn.  Freeing them before the next draw (one shard call per
+    iteration) measured ~3 % slower at the median iteration of the
+    ``series`` benchmark.
+    """
+    for index in indices:
+        slots, batch = generate_iteration(config, index)
+        yield run_iteration(config, index, slots, batch, memo)
+
+
+def _run_indices(config: ExperimentConfig, indices: Sequence[int]) -> list[IterationOutcome]:
+    """Run the listed iterations of the seeded series (one pool shard).
+
+    Shards are index lists rather than contiguous spans because a resumed
+    series has *holes* (iterations already on disk).  The DP memo is
+    shard-local: created here, dropped with the shard, so worker
+    processes never share cache state (memo hits are byte-identical to
+    recomputation, so this is purely a speed matter).
+    """
+    return list(_iterate(config, indices, DPMemo()))
+
+
+def _run_indices_traced(
     config: ExperimentConfig,
-    start: int,
-    stop: int,
+    indices: Sequence[int],
     trace_base: str,
     worker: int,
-) -> ExperimentResult:
+) -> list[IterationOutcome]:
     """One *traced* shard: a private telemetry context writing a JSONL shard.
 
     Worker processes cannot share the parent's metric registry, so each
@@ -510,38 +515,18 @@ def _run_span_traced(
     previous = get_telemetry()
     telemetry = configure(context=TraceContext.derive(config.seed, worker=worker))
     try:
-        accumulator = _SeriesAccumulator()
+        outcomes = []
         memo = DPMemo()
         decisions = telemetry.decisions
-        for index in range(start, stop):
+        for index in indices:
             slots, batch = generate_iteration(config, index)
             with decisions.scope(iteration=index):
                 with telemetry.span("experiment.iteration", index=index):
-                    accumulator.add(run_iteration(config, index, slots, batch, memo))
+                    outcomes.append(run_iteration(config, index, slots, batch, memo))
         write_trace(str(trace_shard_path(trace_base, worker)), telemetry)
-        return accumulator.result(config, stop - start)
+        return outcomes
     finally:
         install(previous)
-
-
-def _run_indices(config: ExperimentConfig, indices: list[int]) -> list[IterationOutcome]:
-    """Run the listed iterations of the seeded series, in the given order.
-
-    The checkpointing counterpart of :func:`_run_span`: a resumed series
-    has *holes* (iterations already on disk), so shards are arbitrary
-    index lists rather than contiguous spans.
-    """
-    outcomes = []
-    memo = DPMemo()
-    for index in indices:
-        slots, batch = generate_iteration(config, index)
-        outcomes.append(run_iteration(config, index, slots, batch, memo))
-    return outcomes
-
-
-def _count_samples(outcomes: dict[int, IterationOutcome]) -> int:
-    """Counted (both-pipelines-succeeded) iterations in an outcome map."""
-    return sum(1 for outcome in outcomes.values() if outcome.comparison is not None)
 
 
 def _shard_spans(iterations: int, shards: int) -> list[tuple[int, int]]:
@@ -561,7 +546,7 @@ class ParallelRunner:
 
     Every iteration draws from its own :func:`derive_iteration_seed`
     stream, so the series is embarrassingly parallel *and* deterministic:
-    for a fixed master seed the merged result — samples, drop counters,
+    for a fixed master seed the result — samples, drop counters,
     per-job outcomes — is byte-identical for any ``workers`` value
     (``tests/test_experiment.py`` asserts 4 workers ≡ serial).  Note the
     per-iteration seeding means results differ from
@@ -569,12 +554,12 @@ class ParallelRunner:
     seed; both are fully reproducible, they are just different series.
 
     A worker killed mid-run (OOM killer, operator ``SIGKILL``) breaks
-    the whole ``concurrent.futures`` pool; the runner catches that,
-    re-derives every shard's seeds, and retries the map on a fresh pool
-    under the supervisor's budget — byte-identical to an undisturbed run
-    because shards are pure functions of ``(config, span)``.  A loss
-    that recurs past the budget raises
-    :class:`~repro.core.errors.WorkerLostError` (CLI exit code 2).
+    the whole ``concurrent.futures`` pool; the runner catches that and
+    retries the map on a fresh pool under the supervisor's budget —
+    byte-identical to an undisturbed run because shards are pure
+    functions of ``(config, indices)``.  A loss that recurs past the
+    budget raises :class:`~repro.core.errors.WorkerLostError` (CLI exit
+    code 2).
     """
 
     def __init__(
@@ -583,7 +568,7 @@ class ParallelRunner:
         *,
         workers: int = 1,
         supervisor: "WorkerSupervisor | None" = None,
-        span_task: "Callable[[ExperimentConfig, int, int], ExperimentResult] | None" = None,
+        span_task: "Callable[[ExperimentConfig, list[int]], list[IterationOutcome]] | None" = None,
         dp_memo: "DPMemo | None" = None,
     ) -> None:
         """Configure the sharded runner.
@@ -594,18 +579,18 @@ class ParallelRunner:
             supervisor: Restart budget/backoff for a broken worker pool.
                 Defaults to a single fresh-pool retry
                 (``WorkerSupervisor(max_restarts=1)``).
-            span_task: Replacement for the per-shard span function on the
-                plain (untraced, uncheckpointed) parallel path — the
-                injection seam the chaos engine uses to kill a real
-                worker (:class:`repro.chaos.proc.CrashOnceSpanTask`).
-                Must be picklable and return the same result
-                :func:`_run_span` would.
-            dp_memo: Explicit opt-in DP memo for the *in-process*
-                (``workers=1``, untraced, uncheckpointed) path — lets a
-                caller observe or share cross-run DP cache traffic (the
-                complexity benchmark does).  Worker processes always
-                build their own span-local memo; results never depend on
-                the memo either way.
+            span_task: Replacement for the untraced shard function on the
+                pool — the injection seam the chaos engine uses to kill a
+                real worker (:class:`repro.chaos.proc.CrashOnceSpanTask`).
+                Called as ``span_task(config, indices)``; must be
+                picklable and return the outcomes :func:`_run_indices`
+                would.
+            dp_memo: Explicit opt-in DP memo for the *in-process*,
+                untraced loop — lets a caller observe or share cross-run
+                DP cache traffic (perfbench and the complexity benchmark
+                do).  Worker processes always build their own
+                shard-local memo; results never depend on the memo
+                either way.
         """
         if workers < 1:
             raise InvalidRequestError(f"workers must be >= 1, got {workers!r}")
@@ -625,9 +610,9 @@ class ParallelRunner:
 
     def _map_supervised(
         self,
-        task: "Callable[..., _SpanResult]",
+        task: "Callable[..., list[IterationOutcome]]",
         argument_lists: Sequence[Sequence[object]],
-    ) -> "list[_SpanResult]":
+    ) -> list[list[IterationOutcome]]:
         """``pool.map`` with broken-pool recovery.
 
         A ``SIGKILL``-ed worker surfaces as :class:`BrokenProcessPool`
@@ -664,6 +649,37 @@ class ParallelRunner:
                         )
                 supervisor.pause(restarts)
 
+    def _chunks(
+        self, missing: list[int], trace_base: str | None
+    ) -> Iterator[tuple[list[int], list[IterationOutcome]]]:
+        """Run ``missing`` as ``(indices, outcomes)`` chunks, in index order.
+
+        In process, an untraced chunk is one iteration, run lazily so the
+        caller can report progress per iteration; a traced run is one
+        chunk writing the single ``.w0`` shard.  On the pool there is one
+        contiguous chunk per worker.
+        """
+        config = self.config
+        if self.workers == 1 or len(missing) <= 1:
+            if trace_base is not None:
+                yield missing, _run_indices_traced(config, missing, trace_base, 0)
+                return
+            memo = self._dp_memo if self._dp_memo is not None else DPMemo()
+            for index, outcome in zip(missing, _iterate(config, missing, memo)):
+                yield [index], [outcome]
+            return
+        chunks = [
+            missing[start:stop] for start, stop in _shard_spans(len(missing), self.workers)
+        ]
+        arguments: list[Sequence[object]] = [[config] * len(chunks), chunks]
+        task: Callable[..., list[IterationOutcome]]
+        if trace_base is not None:
+            task = _run_indices_traced
+            arguments += [[trace_base] * len(chunks), list(range(len(chunks)))]
+        else:
+            task = self._span_task if self._span_task is not None else _run_indices
+        yield from zip(chunks, self._map_supervised(task, arguments))
+
     def run(
         self,
         *,
@@ -674,20 +690,24 @@ class ParallelRunner:
     ) -> ExperimentResult:
         """Execute the series across ``workers`` processes.
 
+        Outcomes are folded strictly in index order — recorded and fresh
+        alike — so the result is byte-identical to an uninterrupted,
+        in-process run regardless of the worker count or of where a
+        previous run died.
+
         Args:
-            progress: Optional callback ``(attempted_so_far, counted)``;
-                with multiple workers it fires once per merged shard
-                rather than per iteration.
+            progress: Optional callback ``(attempted_so_far, counted)``,
+                invoked once per completed chunk: per iteration in
+                process, once per worker shard on the pool, and once for
+                a traced in-process run.
             checkpoint: Optional path to a resumable checkpoint journal
                 (or an already-open :class:`ExperimentCheckpoint`, which
                 is used as-is); completed iterations are appended (in
-                the parent process) as shards finish.  Without
+                the parent process) as chunks finish.  Without
                 ``resume``, an existing file is replaced.
             resume: Skip iterations already recorded in ``checkpoint``.
                 Per-iteration derived seeds make every iteration
-                independent, so only the missing indices run; the merged
-                result is identical to an uninterrupted run for any
-                worker count.
+                independent, so only the missing indices run.
             trace_base: Record a telemetry trace of every shard.  Each
                 worker writes :func:`trace_shard_path` (``trace.jsonl`` →
                 ``trace.w0.jsonl`` …) from its own context; merge the
@@ -703,8 +723,6 @@ class ParallelRunner:
             InvalidRequestError: When ``trace_base`` is combined with
                 ``checkpoint``.
         """
-        from repro.sim.stats import merge_results
-
         config = self.config
         if trace_base is not None and checkpoint is not None:
             raise InvalidRequestError(
@@ -712,95 +730,25 @@ class ParallelRunner:
                 "series has holes, so its shards would not form one trace"
             )
         store = _open_checkpoint(config, checkpoint, resume)
-        if store is not None:
-            try:
-                return self._run_checkpointed(store, progress)
-            finally:
-                store.close()
-        if self.workers == 1:
-            if trace_base is not None:
-                result = _run_span_traced(
-                    config, 0, config.iterations, str(trace_base), 0
-                )
-                if progress is not None:
-                    progress(result.attempted, result.counted)
-                return result
-            accumulator = _SeriesAccumulator()
-            memo = self._dp_memo if self._dp_memo is not None else DPMemo()
-            for index in range(config.iterations):
-                slots, batch = generate_iteration(config, index)
-                accumulator.add(run_iteration(config, index, slots, batch, memo))
-                if progress is not None:
-                    progress(index + 1, len(accumulator.samples))
-            return accumulator.result(config, config.iterations)
-        spans = _shard_spans(config.iterations, self.workers)
-        if trace_base is not None:
-            shards = self._map_supervised(
-                _run_span_traced,
-                (
-                    [config] * len(spans),
-                    [span[0] for span in spans],
-                    [span[1] for span in spans],
-                    [str(trace_base)] * len(spans),
-                    list(range(len(spans))),
-                ),
-            )
-        else:
-            shards = self._map_supervised(
-                self._span_task if self._span_task is not None else _run_span,
-                (
-                    [config] * len(spans),
-                    [span[0] for span in spans],
-                    [span[1] for span in spans],
-                ),
-            )
-        if progress is not None:
-            attempted = 0
-            counted = 0
-            for shard in shards:
-                attempted += shard.attempted
-                counted += shard.counted
-                progress(attempted, counted)
-        return merge_results(shards, config=config)
-
-    def _run_checkpointed(
-        self,
-        store: "ExperimentCheckpoint",
-        progress: Callable[[int, int], None] | None,
-    ) -> ExperimentResult:
-        """Run only the iterations missing from ``store``, then fold all.
-
-        Outcomes are folded strictly in index order — recorded and fresh
-        alike — so the result is byte-identical to an uninterrupted run
-        regardless of where the previous run died or how many workers
-        compute the remainder.
-        """
-        config = self.config
-        outcomes: dict[int, IterationOutcome] = dict(store.outcomes)
-        remaining = [
-            index for index in range(config.iterations) if index not in outcomes
-        ]
-        if self.workers == 1 or len(remaining) <= 1:
-            memo = DPMemo()
-            for index in remaining:
-                slots, batch = generate_iteration(config, index)
-                outcome = run_iteration(config, index, slots, batch, memo)
-                store.record(index, outcome)
-                outcomes[index] = outcome
-                if progress is not None:
-                    progress(len(outcomes), _count_samples(outcomes))
-        else:
-            spans = _shard_spans(len(remaining), self.workers)
-            chunks = [remaining[start:stop] for start, stop in spans]
-            chunk_results = self._map_supervised(
-                _run_indices, ([config] * len(chunks), chunks)
-            )
-            for chunk, results in zip(chunks, chunk_results):
-                for index, outcome in zip(chunk, results):
-                    store.record(index, outcome)
+        try:
+            outcomes: dict[int, IterationOutcome] = {}
+            if store is not None:
+                outcomes.update(store.outcomes)
+            counted = sum(1 for outcome in outcomes.values() if outcome.comparison is not None)
+            missing = [index for index in range(config.iterations) if index not in outcomes]
+            chunks = self._chunks(missing, None if trace_base is None else str(trace_base))
+            for indices, results in chunks:
+                for index, outcome in zip(indices, results):
+                    if store is not None:
+                        store.record(index, outcome)
                     outcomes[index] = outcome
+                    if outcome.comparison is not None:
+                        counted += 1
                 if progress is not None:
-                    progress(len(outcomes), _count_samples(outcomes))
+                    progress(len(outcomes), counted)
+        finally:
+            if store is not None:
+                store.close()
         accumulator = _SeriesAccumulator()
         for index in range(config.iterations):
             accumulator.add(outcomes[index])

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.criteria import Criterion
-from repro.core.errors import InvalidRequestError
-from repro.sim.experiment import ExperimentConfig, ExperimentResult, IterationComparison
+from repro.sim.experiment import ExperimentResult, IterationComparison
 
 __all__ = [
     "AlgorithmStats",
     "ComparisonRatios",
     "ExperimentSummary",
-    "merge_results",
     "summarize",
     "mean",
 ]
@@ -130,40 +128,6 @@ class ExperimentSummary:
             ("AMP time gain", "-", f"{100 * ratios.amp_time_gain:.1f}%"),
             ("AMP cost premium", "-", f"{100 * ratios.amp_cost_premium:.1f}%"),
         ]
-
-
-def merge_results(
-    shards: Sequence[ExperimentResult],
-    *,
-    config: ExperimentConfig | None = None,
-) -> ExperimentResult:
-    """Merge shard results of one sharded series into a single result.
-
-    Shards must be given in iteration order (the
-    :class:`~repro.sim.experiment.ParallelRunner` submits and collects
-    them that way); samples are concatenated and the counters summed, so
-    the merged result is identical to running the whole series in one
-    process.
-
-    Args:
-        shards: Per-shard results, in series order.
-        config: Config recorded on the merged result; defaults to the
-            first shard's config.
-    """
-    if not shards:
-        raise InvalidRequestError("cannot merge an empty shard sequence")
-    samples: list[IterationComparison] = []
-    for shard in shards:
-        samples.extend(shard.samples)
-    return ExperimentResult(
-        config=config if config is not None else shards[0].config,
-        samples=samples,
-        attempted=sum(shard.attempted for shard in shards),
-        dropped_uncovered=sum(shard.dropped_uncovered for shard in shards),
-        dropped_infeasible=sum(shard.dropped_infeasible for shard in shards),
-        total_slots_processed=sum(shard.total_slots_processed for shard in shards),
-        total_jobs_attempted=sum(shard.total_jobs_attempted for shard in shards),
-    )
 
 
 def summarize(result: ExperimentResult) -> ExperimentSummary:

@@ -181,7 +181,7 @@ class TestCrashPointSweeps:
 class _KillAlwaysTask:
     """Span task whose worker always SIGKILLs itself — never recovers."""
 
-    def __call__(self, config, start, stop):
+    def __call__(self, config, indices):
         os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -194,7 +194,7 @@ class TestShardRecovery:
         config = ExperimentConfig(iterations=2, seed=CHAOS_SEED)
         task = CrashOnceSpanTask(str(sentinel), 0)
         with pytest.raises(InvalidRequestError, match="process-mode"):
-            task(config, 0, 2)
+            task(config, [0, 1])
         assert not sentinel.exists()
 
 

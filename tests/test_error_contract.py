@@ -24,7 +24,6 @@ from repro.core.errors import (
 from repro.obs.decisions import DecisionLog
 from repro.obs.events import JsonlSink, RingBuffer
 from repro.obs.metrics import Counter, Histogram
-from repro.sim.stats import merge_results
 from tests.conftest import make_resource
 
 
@@ -80,7 +79,3 @@ class TestCoreSites:
         request = ResourceRequest(node_count=3, volume=10.0)
         with pytest.raises(InvalidRequestError):
             cheapest_subset([Slot(make_resource(), 0.0, 100.0)], request)
-
-    def test_merge_results_empty(self):
-        with pytest.raises(InvalidRequestError):
-            merge_results([])

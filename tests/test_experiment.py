@@ -17,7 +17,6 @@ from repro.sim import (
     figure5,
     figure6,
     generate_iteration,
-    merge_results,
     render_figure4,
     render_figure5,
     render_figure6,
@@ -172,10 +171,6 @@ class TestParallelRunner:
         naive_result = ParallelRunner(self.CONFIG, workers=1).run()
         assert set(naive_calls) == set(SlotSearchAlgorithm)
         assert _result_document(naive_result) == _result_document(indexed)
-
-    def test_merge_results_rejects_empty(self):
-        with pytest.raises(ValueError):
-            merge_results([])
 
     def test_progress_reports_shard_boundaries(self):
         calls = []

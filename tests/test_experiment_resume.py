@@ -151,6 +151,32 @@ class TestParallelResume:
         # resumed baseline.
         assert calls == list(range(13, CONFIG.iterations + 1))
 
+    @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "holes"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_pairs_rise_to_the_folded_result(self, tmp_path, workers, resumed):
+        """The running ``(attempted, counted)`` tally never decreases and
+        ends at the folded result's counters, recorded outcomes included."""
+        path = tmp_path / "ck.jsonl"
+        recorded = [0, 1, 2, 3, 7, 11, 12] if resumed else []
+        store = ExperimentCheckpoint(path, CONFIG)
+        for index in recorded:
+            store.record(index, compute_outcome(CONFIG, index))
+        store.close()
+        pairs = []
+        result = ParallelRunner(CONFIG, workers=workers).run(
+            checkpoint=path,
+            resume=resumed,
+            progress=lambda attempted, counted: pairs.append((attempted, counted)),
+        )
+        assert result == ParallelRunner(CONFIG, workers=1).run()
+        assert 0 < result.counted < CONFIG.iterations
+        for before, after in zip(pairs, pairs[1:]):
+            assert after[0] > before[0] and after[1] >= before[1]
+        assert pairs[-1] == (CONFIG.iterations, result.counted)
+        if workers == 1:
+            # In process, progress fires once per computed iteration.
+            assert len(pairs) == CONFIG.iterations - len(recorded)
+
 
 @pytest.mark.slow
 class TestKillResumeSmoke:

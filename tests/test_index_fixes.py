@@ -251,7 +251,7 @@ class TestDecisionRecordFields:
         from repro.obs import merge_trace_files
         from repro.sim import ExperimentConfig
         from repro.sim.experiment import (
-            _run_span_traced,
+            _run_indices_traced,
             _shard_spans,
             trace_shard_path,
         )
@@ -272,7 +272,7 @@ class TestDecisionRecordFields:
             ]
 
         serial_base = tmp_path / "serial.jsonl"
-        _run_span_traced(config, 0, config.iterations, str(serial_base), 0)
+        _run_indices_traced(config, range(config.iterations), str(serial_base), 0)
         serial = prune_report(
             merge_trace_files([str(trace_shard_path(serial_base, 0))])
         )
@@ -280,7 +280,7 @@ class TestDecisionRecordFields:
         spans = _shard_spans(config.iterations, 2)
         for worker in reversed(range(len(spans))):
             start, stop = spans[worker]
-            _run_span_traced(config, start, stop, str(sharded_base), worker)
+            _run_indices_traced(config, range(start, stop), str(sharded_base), worker)
         sharded = prune_report(
             merge_trace_files(
                 [str(trace_shard_path(sharded_base, w)) for w in range(len(spans))]

@@ -52,8 +52,7 @@ from repro.core import (
 from repro.core import alp, amp
 from repro.grid import ClusterSpec, LocalJobFlow, RecoveryManager, VOEnvironment
 from repro.sim import ExperimentConfig, ParallelRunner
-from repro.sim.experiment import _run_span, _shard_spans, generate_iteration
-from repro.sim.stats import merge_results
+from repro.sim.experiment import _run_indices, _shard_spans, generate_iteration
 
 from tests.conftest import make_random_batch, make_random_request, make_random_slot_list
 
@@ -467,18 +466,19 @@ def _sharded_series_fingerprints(
 )
 def test_sharded_search_matches_serial(algorithm, shards):
     """A series cut into ``shards`` spans finds the same alternatives as
-    the serial run, iteration for iteration, and the merged span results
-    equal the whole-series result."""
+    the serial run, iteration for iteration, and the shards' outcomes,
+    concatenated in index order, equal the whole-series outcomes."""
     serial, sharded = _sharded_series_fingerprints(SHARD_SERIES, algorithm, shards)
     assert sharded == serial, (
         f"divergence on algorithm={algorithm.value} shards={shards}"
     )
     spans = _shard_spans(SHARD_SERIES.iterations, shards)
-    merged = merge_results(
-        [_run_span(SHARD_SERIES, start, stop) for start, stop in spans],
-        config=SHARD_SERIES,
-    )
-    assert merged == _run_span(SHARD_SERIES, 0, SHARD_SERIES.iterations)
+    outcomes = [
+        outcome
+        for start, stop in spans
+        for outcome in _run_indices(SHARD_SERIES, range(start, stop))
+    ]
+    assert outcomes == _run_indices(SHARD_SERIES, range(SHARD_SERIES.iterations))
 
 
 @pytest.mark.parametrize(
@@ -504,7 +504,7 @@ def test_sharded_search_matches_serial_across_processes(algorithm):
     sharded = [fingerprint for chunk in chunks for fingerprint in chunk]
     assert sharded == serial, "divergence in process mode"
     parallel = ParallelRunner(SHARD_SERIES, workers=3).run()
-    assert parallel == _run_span(SHARD_SERIES, 0, SHARD_SERIES.iterations)
+    assert parallel == ParallelRunner(SHARD_SERIES, workers=1).run()
 
 
 def test_sharded_search_matches_serial_scaled_budget():

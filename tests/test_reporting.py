@@ -112,3 +112,30 @@ class TestReportDrift:
         report = experiments_report(iterations=150, seed=20110368)
         lines = [line for line in report.splitlines() if line.startswith(self.PREFIXES)]
         assert lines == self.PINNED
+
+
+class TestComplexityVerdict:
+    """EXP-CPLX's sentence follows the measured growth exponents."""
+
+    @pytest.mark.parametrize(
+        "alp_power, verdict",
+        [
+            (1, "confirm the claim on worst-case"),
+            (2, "do not confirm the claim on this run's worst-case"),
+        ],
+        ids=["linear-alp", "quadratic-alp"],
+    )
+    def test_verdict_follows_exponents(self, monkeypatch, alp_power, verdict):
+        powers = {"ALP": alp_power, "AMP": 1, "backfill": 2}
+        monkeypatch.setattr(
+            reporting,
+            "complexity_sweep",
+            lambda: [
+                ComplexityPoint(name, size, size**power * 1e-9)
+                for size in (400, 800)
+                for name, power in powers.items()
+            ],
+        )
+        report = experiments_report(iterations=10, seed=77)
+        line = next(line for line in report.splitlines() if line.startswith("Paper claim:"))
+        assert f"quadratic) {verdict} (unsatisfiable)" in line
