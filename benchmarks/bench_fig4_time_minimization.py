@@ -14,14 +14,14 @@ cached series (``REPRO_BENCH_ITERATIONS`` iterations).
 from __future__ import annotations
 
 from repro.core import Criterion
-from repro.sim import ExperimentRunner, render_figure4, summarize, summary_table
+from repro.sim import ParallelRunner, render_figure4, summarize, summary_table
 
 from benchmarks.conftest import get_result, report, small_config
 
 
 def test_fig4_time_minimization(benchmark, capsys):
     benchmark.pedantic(
-        lambda: ExperimentRunner(small_config(Criterion.TIME)).run(),
+        lambda: ParallelRunner(small_config(Criterion.TIME)).run(),
         rounds=1,
         iterations=1,
     )

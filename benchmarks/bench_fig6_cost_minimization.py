@@ -12,14 +12,14 @@ alternative sets forces fast choices — Section 6's explanation).
 from __future__ import annotations
 
 from repro.core import Criterion
-from repro.sim import ExperimentRunner, render_figure6, summarize, summary_table
+from repro.sim import ParallelRunner, render_figure6, summarize, summary_table
 
 from benchmarks.conftest import get_result, report, small_config
 
 
 def test_fig6_cost_minimization(benchmark, capsys):
     benchmark.pedantic(
-        lambda: ExperimentRunner(small_config(Criterion.COST)).run(),
+        lambda: ParallelRunner(small_config(Criterion.COST)).run(),
         rounds=1,
         iterations=1,
     )

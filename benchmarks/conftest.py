@@ -22,7 +22,7 @@ import functools
 import os
 
 from repro.core import Criterion
-from repro.sim import ExperimentConfig, ExperimentResult, ExperimentRunner
+from repro.sim import ExperimentConfig, ExperimentResult, ParallelRunner
 
 BENCH_ITERATIONS = int(os.environ.get("REPRO_BENCH_ITERATIONS", "300"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "368"))
@@ -37,7 +37,7 @@ def get_result(objective: Criterion, rho: float = 1.0) -> ExperimentResult:
         seed=BENCH_SEED,
         rho=rho,
     )
-    return ExperimentRunner(config).run()
+    return ParallelRunner(config).run()
 
 
 def small_config(objective: Criterion) -> ExperimentConfig:

@@ -18,7 +18,7 @@ Run:  python examples/rho_pricing_sweep.py
 from __future__ import annotations
 
 from repro.core import Criterion, DemandAdjustedPricing
-from repro.sim import ExperimentConfig, ExperimentRunner, summarize, table
+from repro.sim import ExperimentConfig, ParallelRunner, summarize, table
 
 ITERATIONS = 150
 SEED = 424242
@@ -33,7 +33,7 @@ def sweep_rho() -> None:
             seed=SEED,
             rho=rho,
         )
-        summary = summarize(ExperimentRunner(config).run())
+        summary = summarize(ParallelRunner(config).run())
         ratios = summary.ratios()
         rows.append(
             [

@@ -61,12 +61,7 @@ from repro.grid.checkpoint import (
 )
 from repro.obs.telemetry import get_telemetry
 from repro.sim.checkpoint import ExperimentCheckpoint
-from repro.sim.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    ExperimentRunner,
-    ParallelRunner,
-)
+from repro.sim.experiment import ExperimentConfig, ExperimentResult, ParallelRunner
 
 __all__ = [
     "CAMPAIGN_NAMES",
@@ -313,7 +308,7 @@ def sweep_crash_points(
 
 def _crash_then_resume(
     result: CampaignResult,
-    runner: Callable[[], ExperimentRunner | ParallelRunner],
+    runner: Callable[[], ParallelRunner],
     reference: ExperimentResult,
     kind: str,
     mode: str,
@@ -356,26 +351,27 @@ def sweep_experiment_resume(
 ) -> CampaignResult:
     """Crash a checkpointed series at every outcome record; verify resume.
 
-    Serial sweep: every outcome record of an
-    :class:`~repro.sim.experiment.ExperimentRunner` run is crashed at
-    (full and torn), then the series is resumed from the checkpoint path
-    and must merge to the uninterrupted result.  A second, sampled pass
-    does the same through :class:`~repro.sim.experiment.ParallelRunner`
-    (two workers), exercising the checkpointed pool path.
+    Serial sweep: every outcome record of an in-process
+    :class:`~repro.sim.experiment.ParallelRunner` run (``workers=1``) is
+    crashed at (full and torn), then the series is resumed from the
+    checkpoint path and must merge to the uninterrupted result.  A
+    second, sampled pass does the same with two workers, exercising the
+    checkpointed pool path, which records each chunk as the pool hands
+    it back.
     """
     base = Path(base_dir)
     base.mkdir(parents=True, exist_ok=True)
     config = ExperimentConfig(iterations=iterations, seed=seed)
     result = CampaignResult(name="experiment")
-    serial = partial(ExperimentRunner, config)
+    serial = partial(ParallelRunner, config)
     reference = serial().run()
     for mode in modes:
         for record in range(1, iterations + 1):
             path = base / f"experiment-{mode}-{record:02d}.jsonl"
             _crash_then_resume(result, serial, reference, "serial", mode, record, path)
     # Parallel pass: sampled (one crash point per mode) to bound wall time.
+    # One seed is one series, so the in-process reference serves too.
     parallel = partial(ParallelRunner, config, workers=2)
-    reference = parallel().run()
     rng = random.Random(derive_fault_seed(seed, "experiment-parallel"))
     for mode in modes:
         record = rng.randrange(1, iterations + 1)
@@ -514,19 +510,19 @@ def _io_campaign(base_dir: str | Path, seed: int) -> CampaignResult:
     # lost iteration.
     result.runs += 1
     config = ExperimentConfig(iterations=4, seed=seed)
-    reference = ExperimentRunner(config).run()
+    reference = ParallelRunner(config).run()
     path = base / "io-sim-enospc.jsonl"
     plan = FaultPlan((FaultPoint("write", "enospc", index=3, path=path.name),))
     store = ExperimentCheckpoint(path, config, resume=False, fs=ChaosFilesystem(plan))
     try:
-        ExperimentRunner(config).run(checkpoint=store)
+        ParallelRunner(config).run(checkpoint=store)
         result.failures.append("sim-enospc: fault never fired")
     except PersistenceError:
         if not store._writer.poisoned:
             result.failures.append(
                 "sim-enospc: checkpoint writer did not fail-closed"
             )
-        resumed = ExperimentRunner(config).run(checkpoint=str(path), resume=True)
+        resumed = ParallelRunner(config).run(checkpoint=str(path), resume=True)
         if resumed != reference:
             result.failures.append(
                 "sim-enospc: resumed result diverges from the uninterrupted run"

@@ -58,7 +58,7 @@ from repro.core import (
     SchedulingError,
     SlotSearchAlgorithm,
 )
-from repro.sim import ExperimentConfig, ExperimentRunner, JobGenerator
+from repro.sim import ExperimentConfig, JobGenerator, ParallelRunner
 
 __all__ = ["main", "build_parser"]
 
@@ -113,7 +113,7 @@ def _run_experiment(
     iterations: int,
     seed: int,
     rho: float,
-    workers: int | None = None,
+    workers: int = 1,
     failures: "FailureConfig | None" = None,
     checkpoint: str | None = None,
     resume: bool = False,
@@ -126,13 +126,9 @@ def _run_experiment(
         rho=rho,
         failures=failures,
     )
-    if workers is not None:
-        from repro.sim import ParallelRunner
-
-        return ParallelRunner(config, workers=workers).run(
-            checkpoint=checkpoint, resume=resume, trace_base=trace_base
-        )
-    return ExperimentRunner(config).run(checkpoint=checkpoint, resume=resume)
+    return ParallelRunner(config, workers=workers).run(
+        checkpoint=checkpoint, resume=resume, trace_base=trace_base
+    )
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -161,7 +157,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         args.iterations,
         args.seed,
         args.rho,
-        workers=args.workers,
+        workers=args.workers or 1,
         failures=failures,
         checkpoint=args.checkpoint,
         resume=args.resume,
@@ -459,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "shard the iterations across N processes via the seed-sharded "
-            "ParallelRunner (results are identical for every N; omit for "
-            "the historical single-stream serial runner)"
+            "shard the iterations across N processes (results are "
+            "identical for every N; omit to run in this process, where "
+            "--trace writes one file)"
         ),
     )
     experiment.add_argument(

@@ -35,7 +35,6 @@ from repro.sim.experiment import (
     AlgorithmSample,
     ExperimentConfig,
     ExperimentResult,
-    ExperimentRunner,
     IterationComparison,
     IterationOutcome,
     ParallelRunner,
@@ -74,7 +73,6 @@ __all__ = [
     "JobGenerator",
     "JobGeneratorConfig",
     "ExperimentConfig",
-    "ExperimentRunner",
     "ExperimentResult",
     "IterationComparison",
     "IterationOutcome",

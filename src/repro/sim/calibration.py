@@ -23,7 +23,7 @@ from typing import Sequence
 
 from repro.core.criteria import Criterion
 from repro.core.errors import InvalidRequestError
-from repro.sim.experiment import ExperimentConfig, ExperimentRunner
+from repro.sim.experiment import ExperimentConfig, ParallelRunner
 from repro.sim.generators import JobGeneratorConfig
 from repro.sim.stats import ExperimentSummary, summarize
 
@@ -124,7 +124,7 @@ def calibrate(
             seed=seed,
             job_config=job_config,
         )
-        summary = summarize(ExperimentRunner(config).run())
+        summary = summarize(ParallelRunner(config).run())
         results.append(
             CalibrationResult(
                 factor_range=(low, high),

@@ -59,9 +59,13 @@ def config_fingerprint(config: ExperimentConfig) -> str:
     Enum members are replaced by their values and nested dataclasses
     flattened, so the fingerprint depends only on the configuration's
     *content* — equal configs in different processes hash identically.
+    The ``seeding`` tag names how iterations draw their inputs; older
+    checkpoints, whose fingerprint lacks it, may hold a single-stream
+    series and are refused rather than spliced into this one.
     """
     payload = asdict(config)
     payload["objective"] = config.objective.value
+    payload["seeding"] = "per-iteration"
     canonical = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
@@ -163,13 +167,6 @@ class ExperimentCheckpoint:
         self._writer = JournalWriter(
             self.path, fsync=fsync, header={"fingerprint": self.fingerprint}, fs=fs
         )
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.outcomes
-
-    def get(self, index: int) -> IterationOutcome | None:
-        """The recorded outcome of iteration ``index``, if completed."""
-        return self.outcomes.get(index)
 
     @property
     def completed(self) -> int:

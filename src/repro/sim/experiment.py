@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chaos.proc import WorkerSupervisor
@@ -57,7 +57,6 @@ __all__ = [
     "IterationOutcome",
     "ExperimentConfig",
     "ExperimentResult",
-    "ExperimentRunner",
     "ParallelRunner",
     "derive_iteration_seed",
     "generate_iteration",
@@ -123,8 +122,10 @@ class ExperimentConfig:
             ``T*``).
         iterations: Number of *attempted* scheduling iterations (the
             paper attempts 25 000; benchmarks default lower).
-        seed: Master seed; one RNG drives both generators, so a config
-            is fully reproducible.
+        seed: Master seed; each iteration draws both generators from
+            its own :func:`derive_iteration_seed` stream, so a config is
+            fully reproducible and one seed is one series for every
+            worker count.
         slot_config / job_config: Generator parameter sets.
         resolution: Phase-2 DP discretization.
         rho: AMP budget-shrink factor (Section 6 extension; 1.0 = paper).
@@ -201,7 +202,7 @@ def run_pipeline(
 
 @dataclass(frozen=True)
 class IterationOutcome:
-    """Result of one attempted scheduling iteration (either runner).
+    """Result of one attempted scheduling iteration.
 
     Exactly one of ``comparison``/``dropped_uncovered``/
     ``dropped_infeasible`` is set/true per outcome.
@@ -249,10 +250,9 @@ def run_iteration(
 ) -> IterationOutcome:
     """One attempted iteration: both pipelines on identical inputs.
 
-    Pure function of its inputs — the shared building block of
-    :class:`ExperimentRunner` (streamed RNG) and :class:`ParallelRunner`
-    (per-iteration derived seeds).  ``memo`` is the caller-owned DP memo
-    (each runner/worker shard holds one); memo hits are byte-identical to
+    Pure function of its inputs — the building block of every
+    :class:`ParallelRunner` shard.  ``memo`` is the caller-owned DP memo
+    (each shard holds one); memo hits are byte-identical to
     recomputation, so the memo never affects results — only speed.
     """
     outcomes = {}
@@ -319,99 +319,6 @@ class _SeriesAccumulator:
         )
 
 
-def _open_checkpoint(
-    config: ExperimentConfig,
-    checkpoint: "str | Path | ExperimentCheckpoint | None",
-    resume: bool,
-) -> "ExperimentCheckpoint | None":
-    """Open the optional resume journal for a runner (shared helper).
-
-    An already-constructed :class:`~repro.sim.checkpoint.ExperimentCheckpoint`
-    passes through unchanged — the seam the chaos suite uses to hand the
-    runner a checkpoint backed by a fault-injecting filesystem.  The
-    runner closes whatever store it ran with, caller-provided or not.
-    """
-    if checkpoint is None:
-        return None
-    from repro.sim.checkpoint import ExperimentCheckpoint
-
-    if isinstance(checkpoint, ExperimentCheckpoint):
-        return checkpoint
-    return ExperimentCheckpoint(checkpoint, config, resume=resume)
-
-
-class ExperimentRunner:
-    """Runs an experiment series per :class:`ExperimentConfig`.
-
-    Generation is *streamed*: one RNG, seeded once with ``config.seed``,
-    drives every iteration in sequence — the historical behaviour, kept
-    so existing seeds keep producing the numbers recorded in
-    EXPERIMENTS.md.  For a runner whose draws are independent of
-    iteration order (and therefore shardable across processes), see
-    :class:`ParallelRunner`.
-    """
-
-    def __init__(self, config: ExperimentConfig | None = None) -> None:
-        self.config = config or ExperimentConfig()
-
-    def run(
-        self,
-        *,
-        progress: Callable[[int, int], None] | None = None,
-        checkpoint: "str | Path | ExperimentCheckpoint | None" = None,
-        resume: bool = False,
-    ) -> ExperimentResult:
-        """Execute the series.
-
-        Args:
-            progress: Optional callback ``(attempted_so_far, counted)``
-                invoked after every attempted iteration.
-            checkpoint: Optional path to a resumable checkpoint journal
-                (or an open :class:`~repro.sim.checkpoint.ExperimentCheckpoint`);
-                every completed iteration is appended so a killed run
-                can be resumed.  Without ``resume``, an existing file at
-                a given path is replaced.
-            resume: Skip iterations already recorded in ``checkpoint``,
-                replaying their outcomes from disk.  The generators are
-                still advanced through skipped iterations, so the merged
-                result is identical to an uninterrupted run.
-
-        Raises:
-            CheckpointMismatchError: When resuming against a checkpoint
-                written for a different configuration.
-        """
-        config = self.config
-        store = _open_checkpoint(config, checkpoint, resume)
-        slot_generator = SlotGenerator(config.slot_config, seed=config.seed)
-        job_generator = JobGenerator(config.job_config, rng=slot_generator.rng)
-        accumulator = _SeriesAccumulator()
-        # Run-local DP memo: cross-iteration reuse within this series
-        # only, never ambient process state (hits are byte-identical).
-        memo = DPMemo()
-        try:
-            for attempt in range(config.iterations):
-                # Draws happen unconditionally: the streamed RNG must
-                # advance through completed iterations for the remaining
-                # ones to see the same stream an uninterrupted run would.
-                slots = slot_generator.generate()
-                batch = job_generator.generate()
-                cached = store.get(attempt) if store is not None else None
-                if cached is not None:
-                    outcome = cached
-                else:
-                    slots = _degrade_slots(config, slots, salt=attempt)
-                    outcome = run_iteration(config, attempt, slots, batch, memo)
-                    if store is not None:
-                        store.record(attempt, outcome)
-                accumulator.add(outcome)
-                if progress is not None:
-                    progress(attempt + 1, len(accumulator.samples))
-        finally:
-            if store is not None:
-                store.close()
-        return accumulator.result(config, config.iterations)
-
-
 def derive_iteration_seed(master_seed: int, index: int) -> int:
     """Deterministic, order-independent per-iteration seed.
 
@@ -429,9 +336,8 @@ def derive_iteration_seed(master_seed: int, index: int) -> int:
 def generate_iteration(config: ExperimentConfig, index: int) -> tuple[SlotList, Batch]:
     """Draw iteration ``index``'s slot list and batch from its own stream.
 
-    Mirrors the serial runner's coupling (one RNG shared by both
-    generators) but re-seeds per iteration via
-    :func:`derive_iteration_seed`.
+    One RNG, seeded by :func:`derive_iteration_seed`, drives both
+    generators.
     """
     seed = derive_iteration_seed(config.seed, index)
     slot_generator = SlotGenerator(config.slot_config, seed=seed)
@@ -445,8 +351,8 @@ def _degrade_slots(config: ExperimentConfig, slots: SlotList, *, salt: int) -> S
     """Carve the config's failure streams out of one iteration's slots.
 
     A pure function of ``(config, slots, salt)`` — the salt is the
-    iteration's own seed (parallel path) or index (streamed path), so
-    iterations fail independently yet reproducibly, in any process.
+    iteration's own seed, so iterations fail independently yet
+    reproducibly, in any process.
     """
     if config.failures is None:
         return slots
@@ -529,6 +435,12 @@ def _run_indices_traced(
         install(previous)
 
 
+#: Chunks per worker on an untraced pool run.  More than one, so a
+#: checkpointed run records finished chunks while later ones still run
+#: and a broken pool re-runs only what it had not yet handed back.
+_CHUNKS_PER_WORKER = 4
+
+
 def _shard_spans(iterations: int, shards: int) -> list[tuple[int, int]]:
     """Split ``range(iterations)`` into ``shards`` contiguous spans."""
     base, extra = divmod(iterations, shards)
@@ -548,18 +460,16 @@ class ParallelRunner:
     stream, so the series is embarrassingly parallel *and* deterministic:
     for a fixed master seed the result — samples, drop counters,
     per-job outcomes — is byte-identical for any ``workers`` value
-    (``tests/test_experiment.py`` asserts 4 workers ≡ serial).  Note the
-    per-iteration seeding means results differ from
-    :class:`ExperimentRunner`'s single-stream draws for the same master
-    seed; both are fully reproducible, they are just different series.
+    (``tests/test_experiment.py`` asserts 4 workers ≡ serial).
+    ``workers=1`` runs the series in the calling process.
 
     A worker killed mid-run (OOM killer, operator ``SIGKILL``) breaks
     the whole ``concurrent.futures`` pool; the runner catches that and
-    retries the map on a fresh pool under the supervisor's budget —
-    byte-identical to an undisturbed run because shards are pure
-    functions of ``(config, indices)``.  A loss that recurs past the
-    budget raises :class:`~repro.core.errors.WorkerLostError` (CLI exit
-    code 2).
+    re-runs the chunks the pool had not yet handed back on a fresh pool
+    under the supervisor's budget — byte-identical to an undisturbed
+    run because shards are pure functions of ``(config, indices)``.  A
+    loss that recurs past the budget raises
+    :class:`~repro.core.errors.WorkerLostError` (CLI exit code 2).
     """
 
     def __init__(
@@ -611,22 +521,38 @@ class ParallelRunner:
     def _map_supervised(
         self,
         task: "Callable[..., list[IterationOutcome]]",
-        argument_lists: Sequence[Sequence[object]],
-    ) -> list[list[IterationOutcome]]:
-        """``pool.map`` with broken-pool recovery.
+        chunks: list[list[int]],
+        *extra: Sequence[object],
+    ) -> Iterator[tuple[list[int], list[IterationOutcome]]]:
+        """Yield ``(chunk, task(config, chunk, *extra))`` in chunk order.
 
-        A ``SIGKILL``-ed worker surfaces as :class:`BrokenProcessPool`
-        and poisons the whole executor, so recovery re-runs the *entire*
-        map on a fresh pool: every shard is a pure function of its
-        arguments, so the retried results are byte-identical and no
-        partial state needs reconciling.
+        Each chunk is handed back as ``pool.map`` yields it, so the
+        caller can record it while later chunks still run.  A
+        ``SIGKILL``-ed worker surfaces as :class:`BrokenProcessPool` and
+        poisons the whole executor, so recovery re-runs, on a fresh
+        pool, only the chunks not yet yielded: every chunk is a pure
+        function of its arguments, so nothing needs reconciling.
         """
         supervisor = self._pool_supervisor()
         restarts = 0
+        done = 0
         while True:
             try:
                 with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                    return list(pool.map(task, *argument_lists))
+                    try:
+                        results = pool.map(
+                            task,
+                            [self.config] * (len(chunks) - done),
+                            chunks[done:],
+                            *(column[done:] for column in extra),
+                        )
+                        for outcomes in results:
+                            yield chunks[done], outcomes
+                            done += 1
+                    finally:
+                        # A caller that stops early leaves queued chunks unrun.
+                        pool.shutdown(cancel_futures=True)
+                return
             except BrokenProcessPool as error:
                 restarts += 1
                 from repro.obs.telemetry import get_telemetry
@@ -651,13 +577,15 @@ class ParallelRunner:
 
     def _chunks(
         self, missing: list[int], trace_base: str | None
-    ) -> Iterator[tuple[list[int], list[IterationOutcome]]]:
+    ) -> Generator[tuple[list[int], list[IterationOutcome]], None, None]:
         """Run ``missing`` as ``(indices, outcomes)`` chunks, in index order.
 
         In process, an untraced chunk is one iteration, run lazily so the
         caller can report progress per iteration; a traced run is one
-        chunk writing the single ``.w0`` shard.  On the pool there is one
-        contiguous chunk per worker.
+        chunk writing the single ``.w0`` shard.  On the pool an untraced
+        run has :data:`_CHUNKS_PER_WORKER` contiguous chunks per worker
+        and a traced run one per worker, so each worker writes one
+        ``.wN`` shard.
         """
         config = self.config
         if self.workers == 1 or len(missing) <= 1:
@@ -668,17 +596,18 @@ class ParallelRunner:
             for index, outcome in zip(missing, _iterate(config, missing, memo)):
                 yield [index], [outcome]
             return
+        per_worker = 1 if trace_base is not None else _CHUNKS_PER_WORKER
         chunks = [
-            missing[start:stop] for start, stop in _shard_spans(len(missing), self.workers)
+            missing[start:stop]
+            for start, stop in _shard_spans(len(missing), self.workers * per_worker)
         ]
-        arguments: list[Sequence[object]] = [[config] * len(chunks), chunks]
-        task: Callable[..., list[IterationOutcome]]
         if trace_base is not None:
-            task = _run_indices_traced
-            arguments += [[trace_base] * len(chunks), list(range(len(chunks)))]
+            yield from self._map_supervised(
+                _run_indices_traced, chunks, [trace_base] * len(chunks), range(len(chunks))
+            )
         else:
             task = self._span_task if self._span_task is not None else _run_indices
-        yield from zip(chunks, self._map_supervised(task, arguments))
+            yield from self._map_supervised(task, chunks)
 
     def run(
         self,
@@ -698,12 +627,14 @@ class ParallelRunner:
         Args:
             progress: Optional callback ``(attempted_so_far, counted)``,
                 invoked once per completed chunk: per iteration in
-                process, once per worker shard on the pool, and once for
-                a traced in-process run.
-            checkpoint: Optional path to a resumable checkpoint journal
-                (or an already-open :class:`ExperimentCheckpoint`, which
-                is used as-is); completed iterations are appended (in
-                the parent process) as chunks finish.  Without
+                process, per pool chunk as the pool hands it back, and
+                once for a traced in-process run.
+            checkpoint: Optional path to a resumable checkpoint journal,
+                or an already-open :class:`ExperimentCheckpoint`, which
+                is used as-is (the seam the chaos suite uses to hand in
+                a checkpoint on a fault-injecting filesystem).  Completed
+                iterations are appended (in the parent process) as
+                chunks finish, and the runner closes the store.  Without
                 ``resume``, an existing file is replaced.
             resume: Skip iterations already recorded in ``checkpoint``.
                 Per-iteration derived seeds make every iteration
@@ -729,14 +660,21 @@ class ParallelRunner:
                 "trace_base cannot be combined with checkpoint: a resumed "
                 "series has holes, so its shards would not form one trace"
             )
-        store = _open_checkpoint(config, checkpoint, resume)
+        store: "ExperimentCheckpoint | None" = None
+        outcomes: dict[int, IterationOutcome] = {}
+        if checkpoint is not None:
+            from repro.sim.checkpoint import ExperimentCheckpoint
+
+            store = (
+                checkpoint
+                if isinstance(checkpoint, ExperimentCheckpoint)
+                else ExperimentCheckpoint(checkpoint, config, resume=resume)
+            )
+            outcomes.update(store.outcomes)
+        counted = sum(1 for outcome in outcomes.values() if outcome.comparison is not None)
+        missing = [index for index in range(config.iterations) if index not in outcomes]
+        chunks = self._chunks(missing, None if trace_base is None else str(trace_base))
         try:
-            outcomes: dict[int, IterationOutcome] = {}
-            if store is not None:
-                outcomes.update(store.outcomes)
-            counted = sum(1 for outcome in outcomes.values() if outcome.comparison is not None)
-            missing = [index for index in range(config.iterations) if index not in outcomes]
-            chunks = self._chunks(missing, None if trace_base is None else str(trace_base))
             for indices, results in chunks:
                 for index, outcome in zip(indices, results):
                     if store is not None:
@@ -747,6 +685,7 @@ class ParallelRunner:
                 if progress is not None:
                     progress(len(outcomes), counted)
         finally:
+            chunks.close()
             if store is not None:
                 store.close()
         accumulator = _SeriesAccumulator()

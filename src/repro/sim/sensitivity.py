@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from repro.core.criteria import Criterion
 from repro.core.errors import InvalidRequestError
 from repro.sim.ascii_plot import table
-from repro.sim.experiment import ExperimentConfig, ExperimentRunner
+from repro.sim.experiment import ExperimentConfig, ParallelRunner
 from repro.sim.generators import JobGeneratorConfig, SlotGeneratorConfig
 from repro.sim.stats import ExperimentSummary, summarize
 
@@ -116,7 +116,7 @@ def sweep(
         config = dataclasses.replace(
             template, objective=objective, iterations=iterations, seed=seed
         )
-        result = ExperimentRunner(config).run()
+        result = ParallelRunner(config).run()
         points.append(
             SensitivityPoint(parameter=parameter, value=value, summary=summarize(result))
         )

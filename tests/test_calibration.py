@@ -8,7 +8,7 @@ import math
 import pytest
 
 from repro.core import Criterion, InvalidRequestError
-from repro.sim import ExperimentConfig, ExperimentRunner, summarize
+from repro.sim import ExperimentConfig, ParallelRunner, summarize
 from repro.sim.calibration import (
     PAPER_TARGET,
     CalibrationTarget,
@@ -20,7 +20,7 @@ from repro.sim.calibration import (
 @pytest.fixture(scope="module")
 def small_summary():
     config = ExperimentConfig(objective=Criterion.TIME, iterations=40, seed=11)
-    return summarize(ExperimentRunner(config).run())
+    return summarize(ParallelRunner(config).run())
 
 
 class TestScore:

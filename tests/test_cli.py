@@ -80,6 +80,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "alternatives per job" in out
 
+    def test_seed_not_worker_count_picks_the_series(self, capsys):
+        argv = ["experiment", "--iterations", "40", "--seed", "5"]
+        outputs = []
+        for workers in ([], ["--workers", "1"], ["--workers", "2"]):
+            assert main(argv + workers) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
     def test_experiment_rejects_zero_workers(self, capsys):
         assert (
             main(["experiment", "--iterations", "4", "--seed", "5", "--workers", "0"])

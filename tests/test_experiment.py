@@ -10,7 +10,6 @@ import pytest
 from repro.core import Criterion, InvalidRequestError, SlotSearchAlgorithm
 from repro.sim import (
     ExperimentConfig,
-    ExperimentRunner,
     ParallelRunner,
     derive_iteration_seed,
     figure4,
@@ -38,12 +37,12 @@ SMALL = dict(
 
 @pytest.fixture(scope="module")
 def time_result():
-    return ExperimentRunner(ExperimentConfig(objective=Criterion.TIME, **SMALL)).run()
+    return ParallelRunner(ExperimentConfig(objective=Criterion.TIME, **SMALL)).run()
 
 
 @pytest.fixture(scope="module")
 def cost_result():
-    return ExperimentRunner(ExperimentConfig(objective=Criterion.COST, **SMALL)).run()
+    return ParallelRunner(ExperimentConfig(objective=Criterion.COST, **SMALL)).run()
 
 
 class TestRunPipeline:
@@ -67,7 +66,7 @@ class TestRunPipeline:
         pytest.fail("no feasible iteration in 10 draws (generator regression?)")
 
 
-class TestExperimentRunner:
+class TestInProcessSeries:
     def test_accounting_adds_up(self, time_result):
         assert (
             time_result.counted
@@ -85,8 +84,8 @@ class TestExperimentRunner:
 
     def test_deterministic_under_seed(self):
         config = ExperimentConfig(objective=Criterion.TIME, iterations=10, seed=77, resolution=200)
-        first = ExperimentRunner(config).run()
-        second = ExperimentRunner(config).run()
+        first = ParallelRunner(config).run()
+        second = ParallelRunner(config).run()
         assert [s.alp.mean_job_time for s in first.samples] == [
             s.alp.mean_job_time for s in second.samples
         ]
@@ -94,7 +93,7 @@ class TestExperimentRunner:
     def test_progress_callback(self):
         calls = []
         config = ExperimentConfig(objective=Criterion.TIME, iterations=5, seed=3, resolution=200)
-        ExperimentRunner(config).run(progress=lambda done, counted: calls.append((done, counted)))
+        ParallelRunner(config).run(progress=lambda done, counted: calls.append((done, counted)))
         assert [done for done, _ in calls] == [1, 2, 3, 4, 5]
 
     def test_same_drops_for_both_objectives(self, time_result, cost_result):

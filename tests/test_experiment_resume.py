@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import pytest
 
-from repro.core.errors import CheckpointMismatchError
+from repro.chaos.proc import WorkerSupervisor
+from repro.core.errors import CheckpointMismatchError, WorkerLostError
+from repro.core.journal import JournalWriter
 from repro.sim import (
     ExperimentCheckpoint,
     ExperimentConfig,
-    ExperimentRunner,
     ParallelRunner,
     config_fingerprint,
     decode_outcome,
@@ -23,6 +28,7 @@ from repro.sim import (
     generate_iteration,
     run_iteration,
 )
+from repro.sim.experiment import _run_indices
 
 CONFIG = ExperimentConfig(iterations=18, seed=41)
 
@@ -50,9 +56,28 @@ class TestOutcomeCodec:
         )
 
 
+class TestSeedingTag:
+    def test_checkpoint_fingerprinted_without_the_seeding_tag_is_refused(self, tmp_path):
+        """A header hash of the bare config (no ``seeding`` tag) may stand
+        for a single-stream series; resuming it must refuse, not splice."""
+        payload = asdict(CONFIG)
+        payload["objective"] = CONFIG.objective.value
+        canonical = json.dumps(payload, sort_keys=True, default=repr)
+        untagged = hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+        assert untagged != config_fingerprint(CONFIG)
+        path = tmp_path / "ck.jsonl"
+        writer = JournalWriter(path, fsync=False, header={"fingerprint": untagged})
+        writer.append(
+            "outcome", {"index": 0, "outcome": encode_outcome(compute_outcome(CONFIG, 0))}
+        )
+        writer.close()
+        with pytest.raises(CheckpointMismatchError, match="different experiment"):
+            ParallelRunner(CONFIG, workers=2).run(checkpoint=path, resume=True)
+
+
 class TestSerialResume:
     def test_resume_equals_uninterrupted(self, tmp_path):
-        reference = ExperimentRunner(CONFIG).run()
+        reference = ParallelRunner(CONFIG).run()
         # Simulate a crash: checkpoint only the first 10 iterations.
         partial = tmp_path / "partial.jsonl"
         interrupted = 0
@@ -64,42 +89,42 @@ class TestSerialResume:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            ExperimentRunner(CONFIG).run(checkpoint=partial, progress=killer)
+            ParallelRunner(CONFIG).run(checkpoint=partial, progress=killer)
         assert interrupted == 10
-        resumed = ExperimentRunner(CONFIG).run(checkpoint=partial, resume=True)
+        resumed = ParallelRunner(CONFIG).run(checkpoint=partial, resume=True)
         assert resumed == reference
 
     def test_resume_skips_finished_work(self, tmp_path):
         path = tmp_path / "ck.jsonl"
-        ExperimentRunner(CONFIG).run(checkpoint=path)
+        ParallelRunner(CONFIG).run(checkpoint=path)
         store = ExperimentCheckpoint(path, CONFIG, resume=True)
         assert store.completed == CONFIG.iterations
         store.close()
         # A fully-checkpointed resume recomputes nothing: the journal is
         # not appended to, and the result still matches a plain run.
         before = path.read_bytes()
-        result = ExperimentRunner(CONFIG).run(checkpoint=path, resume=True)
-        assert result == ExperimentRunner(CONFIG).run()
+        result = ParallelRunner(CONFIG).run(checkpoint=path, resume=True)
+        assert result == ParallelRunner(CONFIG).run()
         assert path.read_bytes() == before
 
     def test_fresh_run_replaces_existing_checkpoint(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         other = ExperimentConfig(iterations=4, seed=999)
-        ExperimentRunner(other).run(checkpoint=path)
+        ParallelRunner(other).run(checkpoint=path)
         # Same path, different config, no --resume: starts over cleanly.
-        result = ExperimentRunner(CONFIG).run(checkpoint=path)
-        assert result == ExperimentRunner(CONFIG).run()
+        result = ParallelRunner(CONFIG).run(checkpoint=path)
+        assert result == ParallelRunner(CONFIG).run()
 
     def test_resume_with_wrong_config_is_rejected(self, tmp_path):
         path = tmp_path / "ck.jsonl"
-        ExperimentRunner(CONFIG).run(checkpoint=path)
+        ParallelRunner(CONFIG).run(checkpoint=path)
         other = ExperimentConfig(iterations=18, seed=999)
         with pytest.raises(CheckpointMismatchError, match="different experiment"):
-            ExperimentRunner(other).run(checkpoint=path, resume=True)
+            ParallelRunner(other).run(checkpoint=path, resume=True)
 
     def test_resume_tolerates_torn_checkpoint_tail(self, tmp_path):
         path = tmp_path / "ck.jsonl"
-        ExperimentRunner(CONFIG).run(checkpoint=path)
+        ParallelRunner(CONFIG).run(checkpoint=path)
         # Tear the last record in half, as a SIGKILL mid-append would.
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
@@ -108,9 +133,9 @@ class TestSerialResume:
             encoding="utf-8",
         )
         with pytest.warns(UserWarning, match="torn trailing journal record"):
-            result = ExperimentRunner(CONFIG).run(checkpoint=path, resume=True)
+            result = ParallelRunner(CONFIG).run(checkpoint=path, resume=True)
         # The torn iteration was simply recomputed.
-        assert result == ExperimentRunner(CONFIG).run()
+        assert result == ParallelRunner(CONFIG).run()
 
 
 class TestParallelResume:
@@ -176,6 +201,80 @@ class TestParallelResume:
         if workers == 1:
             # In process, progress fires once per computed iteration.
             assert len(pairs) == CONFIG.iterations - len(recorded)
+
+
+def _recorded_outcomes(path: str) -> int:
+    """Outcome records on disk (every line after the header)."""
+    try:
+        return max(0, Path(path).read_bytes().count(b"\n") - 1)
+    except FileNotFoundError:
+        return 0
+
+
+@dataclass(frozen=True)
+class _DieOnLastChunk:
+    """Pool chunk task that logs each call's first index and SIGKILLs its
+    worker on the series' last chunk, once every other iteration is in
+    the checkpoint.  With a ``sentinel`` it dies only once."""
+
+    checkpoint: str
+    calls: str
+    sentinel: str | None = None
+
+    def __call__(self, config, indices):
+        with open(self.calls, "a", encoding="utf-8") as log:
+            log.write(f"{indices[0]}\n")
+        dies = config.iterations - 1 in indices and not (
+            self.sentinel is not None and Path(self.sentinel).exists()
+        )
+        if dies:
+            others = config.iterations - len(indices)
+            deadline = time.monotonic() + 20
+            while _recorded_outcomes(self.checkpoint) < others and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if self.sentinel is not None:
+                Path(self.sentinel).touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _run_indices(config, indices)
+
+
+class TestPoolChunkRecording:
+    """A pool run records each chunk as the pool hands it back."""
+
+    def test_chunks_before_a_dead_last_worker_are_on_disk(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        runner = ParallelRunner(
+            CONFIG,
+            workers=2,
+            supervisor=WorkerSupervisor(max_restarts=0, backoff_base=0.0, backoff_cap=0.0),
+            span_task=_DieOnLastChunk(str(path), str(tmp_path / "calls.log")),
+        )
+        with pytest.raises(WorkerLostError):
+            runner.run(checkpoint=path)
+        store = ExperimentCheckpoint(path, CONFIG, resume=True)
+        recorded = sorted(store.outcomes)
+        store.close()
+        # More than one worker's share survives, as a prefix of the series.
+        assert recorded == list(range(len(recorded)))
+        assert CONFIG.iterations // 2 < len(recorded) < CONFIG.iterations
+        resumed = ParallelRunner(CONFIG, workers=2).run(checkpoint=path, resume=True)
+        assert resumed == ParallelRunner(CONFIG).run()
+
+    def test_broken_pool_reruns_only_the_chunks_not_yet_handed_back(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        calls = tmp_path / "calls.log"
+        runner = ParallelRunner(
+            CONFIG,
+            workers=2,
+            supervisor=WorkerSupervisor(max_restarts=1, backoff_base=0.0, backoff_cap=0.0),
+            span_task=_DieOnLastChunk(str(path), str(calls), str(tmp_path / "died")),
+        )
+        assert runner.run(checkpoint=path) == ParallelRunner(CONFIG).run()
+        starts = Counter(int(line) for line in calls.read_text().split())
+        last = max(starts)
+        assert starts[last] == 2
+        assert all(count == 1 for start, count in starts.items() if start != last)
+        assert _recorded_outcomes(str(path)) == CONFIG.iterations
 
 
 @pytest.mark.slow

@@ -64,26 +64,26 @@ class TestReportDrift:
     """
 
     PINNED = [
-        "| 4 (a) | avg job execution time | 59.85 / 39.01 | 54.67 / 37.01 | +4% |",
-        "| 4 (b) | avg job execution cost | 313.56 / 369.69 | 386.57 / 480.75 | +5% |",
-        "- experiments counted: 64 of 150 attempted "
-        "(86 dropped for coverage, 0 for DP infeasibility)",
-        "- alternatives per job: ALP 12.08, AMP 32.77 (x2.7; paper x4.6)",
-        "- slots per experiment: 135.62 (paper 135.11)",
-        "- jobs per counted experiment: 4.48",
-        "**Headline:** AMP is 32% faster (paper: 35%) at 24% higher cost (paper: 15%).",
-        "- AMP at or below ALP in 64/64 experiments (100%); "
+        "| 4 (a) | avg job execution time | 59.85 / 39.01 | 55.68 / 38.62 | +6% |",
+        "| 4 (b) | avg job execution cost | 313.56 / 369.69 | 388.19 / 482.62 | +5% |",
+        "- experiments counted: 56 of 150 attempted "
+        "(94 dropped for coverage, 0 for DP infeasibility)",
+        "- alternatives per job: ALP 9.69, AMP 28.05 (x2.9; paper x4.6)",
+        "- slots per experiment: 135.45 (paper 135.11)",
+        "- jobs per counted experiment: 4.82",
+        "**Headline:** AMP is 31% faster (paper: 35%) at 24% higher cost (paper: 15%).",
+        "- AMP at or below ALP in 56/56 experiments (100%); "
         "the paper reports a gain in every single experiment.",
-        "- series means: ALP 54.67, AMP 37.01.",
-        "| 6 (a) | avg job execution cost | 313.09 / 343.30 | 377.46 / 396.70 | -4% |",
-        "| 6 (b) | avg job execution time | 61.04 / 51.62 | 56.53 / 49.87 | +4% |",
-        "- experiments counted: 64 of 150 attempted "
-        "(86 dropped for coverage, 0 for DP infeasibility)",
-        "- alternatives per job: ALP 12.08, AMP 32.77 (x2.7; paper x4.6)",
-        "- slots per experiment: 135.62 (paper 135.11)",
-        "- jobs per counted experiment: 4.48",
-        "**Headline:** ALP's cost advantage shrinks to 5% (paper: 9%) "
-        "while AMP remains 12% faster (paper: 15%).",
+        "- series means: ALP 55.68, AMP 38.62.",
+        "| 6 (a) | avg job execution cost | 313.09 / 343.30 | 377.74 / 400.21 | -3% |",
+        "| 6 (b) | avg job execution time | 61.04 / 51.62 | 57.91 / 51.60 | +5% |",
+        "- experiments counted: 56 of 150 attempted "
+        "(94 dropped for coverage, 0 for DP infeasibility)",
+        "- alternatives per job: ALP 9.69, AMP 28.05 (x2.9; paper x4.6)",
+        "- slots per experiment: 135.45 (paper 135.11)",
+        "- jobs per counted experiment: 4.82",
+        "**Headline:** ALP's cost advantage shrinks to 6% (paper: 9%) "
+        "while AMP remains 11% faster (paper: 15%).",
     ]
 
     PREFIXES = (

@@ -528,13 +528,3 @@ class TestExperimentEngineFailures:
             )
 
         assert document(parallel) == document(serial)
-
-    def test_streamed_runner_applies_failures_deterministically(self):
-        from repro.sim import ExperimentRunner
-
-        first = ExperimentRunner(self.CONFIG).run()
-        second = ExperimentRunner(self.CONFIG).run()
-        assert first.total_slots_processed == second.total_slots_processed
-        assert [s.amp.mean_job_time for s in first.samples] == [
-            s.amp.mean_job_time for s in second.samples
-        ]
