@@ -54,7 +54,6 @@ from repro.core.journal import (
 )
 from repro.core.optimize import (
     Combination,
-    OptimizationBudget,
     brute_force,
     minimize_cost,
     minimize_time,
@@ -122,7 +121,6 @@ __all__ = [
     "total_cost",
     "total_time",
     "Combination",
-    "OptimizationBudget",
     "optimize",
     "minimize_time",
     "minimize_cost",

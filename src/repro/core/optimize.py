@@ -55,7 +55,6 @@ from repro.obs.telemetry import Telemetry, get_telemetry
 __all__ = [
     "Combination",
     "DPMemo",
-    "OptimizationBudget",
     "time_quota",
     "vo_budget",
     "minimize_time",
@@ -72,64 +71,6 @@ DEFAULT_RESOLUTION: int = 2000
 
 
 @dataclass(frozen=True)
-class OptimizationBudget:
-    """Resource budget bounding one phase-2 optimization run.
-
-    Under overload (huge batches, many alternatives, a fine
-    discretization) the backward-run DP can dominate an iteration.  A
-    budget makes :func:`optimize` / :func:`vo_budget` *degrade* instead
-    of blocking or failing:
-
-    1. the discretization ``resolution`` is halved until the DP table
-       fits ``max_cells`` (never below ``min_resolution``);
-    2. if the table still does not fit — or ``deadline`` has already
-       elapsed — the DP is skipped entirely and a greedy per-job
-       selection is returned.
-
-    Degraded results are always *feasible* (floor rounding keeps every
-    truly feasible combination DP-feasible at any resolution, and the
-    greedy fallback starts from the most-affordable window per job);
-    only optimality is sacrificed.  Genuine infeasibility — no selection
-    fits the limit even ignoring the budget — still raises
-    :class:`~repro.core.errors.InfeasibleConstraintError`.
-
-    Attributes:
-        max_cells: Cap on DP table entries (alternatives × bins) per
-            run; ``None`` leaves the table size unbounded.
-        deadline: Wall-clock seconds allowed per optimization call;
-            checked before the DP starts, ``None`` disables the check.
-        min_resolution: Floor for the resolution step-down; below this
-            the discretization error (``n / resolution`` per batch)
-            would distort the constraint more than the DP is worth.
-    """
-
-    max_cells: int | None = None
-    deadline: float | None = None
-    min_resolution: int = 50
-
-    def __post_init__(self) -> None:
-        """Validate the budget knobs.
-
-        Raises:
-            OptimizationError: On non-positive or non-finite values.
-        """
-        if self.max_cells is not None and self.max_cells < 1:
-            raise OptimizationError(
-                f"max_cells must be >= 1, got {self.max_cells!r}"
-            )
-        if self.deadline is not None and (
-            not math.isfinite(self.deadline) or self.deadline <= 0
-        ):
-            raise OptimizationError(
-                f"deadline must be positive and finite, got {self.deadline!r}"
-            )
-        if self.min_resolution < 1:
-            raise OptimizationError(
-                f"min_resolution must be >= 1, got {self.min_resolution!r}"
-            )
-
-
-@dataclass(frozen=True)
 class Combination:
     """A chosen slot combination ``s̄ = (s̄_1, ..., s̄_n)`` with its measures.
 
@@ -139,9 +80,6 @@ class Combination:
         total_time: ``T(s̄)`` in exact arithmetic.
         objective: Which criterion was minimized.
         limit: The constraint value the DP ran under.
-        degraded: ``True`` when an :class:`OptimizationBudget` forced a
-            stepped-down resolution or the greedy fallback — the
-            selection is feasible but possibly sub-optimal.
     """
 
     selection: dict[Job, Window]
@@ -149,7 +87,6 @@ class Combination:
     total_time: float
     objective: Criterion
     limit: float
-    degraded: bool = False
 
     @classmethod
     def of(
@@ -157,8 +94,6 @@ class Combination:
         selection: dict[Job, Window],
         objective: Criterion,
         limit: float,
-        *,
-        degraded: bool = False,
     ) -> "Combination":
         """A combination with exact totals summed over ``selection``."""
         return cls(
@@ -167,7 +102,6 @@ class Combination:
             total_time=sum(window.length for window in selection.values()),
             objective=objective,
             limit=limit,
-            degraded=degraded,
         )
 
     @property
@@ -253,84 +187,6 @@ def _discretize(values: list[float], limit: float, resolution: int) -> tuple[lis
     return weights, capacity
 
 
-def _fit_resolution(
-    total_alternatives: int,
-    resolution: int,
-    limit: float,
-    budget: OptimizationBudget | None,
-) -> tuple[int, bool]:
-    """Step ``resolution`` down until the DP table fits ``budget.max_cells``.
-
-    Halves repeatedly, clamped at ``budget.min_resolution``.  Returns the
-    fitted resolution and whether the budget is *exhausted* — the table
-    does not fit even at the floor, so the caller must skip the DP.
-    Lowering the resolution never manufactures infeasibility: floor
-    rounding keeps every truly feasible selection DP-feasible at any bin
-    count (see :func:`_discretize`), so step-down only coarsens the
-    optimum.
-    """
-    if budget is None or budget.max_cells is None:
-        return resolution, False
-
-    def cells(bins: int) -> int:
-        capacity = bins if limit > 0 else 0
-        return total_alternatives * (capacity + 1)
-
-    fitted = resolution
-    while cells(fitted) > budget.max_cells and fitted > budget.min_resolution:
-        fitted = max(budget.min_resolution, fitted // 2)
-    return fitted, cells(fitted) > budget.max_cells
-
-
-def _out_of_time(started: float, budget: OptimizationBudget | None) -> bool:
-    """Whether the budget's deadline elapsed since ``started`` (monotonic)."""
-    return (
-        budget is not None
-        and budget.deadline is not None
-        and time.monotonic() - started >= budget.deadline
-    )
-
-
-def _greedy_choose(
-    lists: list[list[Window]],
-    value: Callable[[Window], float],
-    weight: Callable[[Window], float],
-    limit: float,
-    *,
-    maximize: bool,
-) -> list[int] | None:
-    """Budget-free greedy selection: one window index per job under ``limit``.
-
-    Starts from the most-affordable base (minimal ``weight`` per job, the
-    selection with the best chance of fitting), then makes one sweep
-    spending the remaining slack where it improves ``value``.  O(total
-    alternatives) — the degradation path must stay cheap.  Returns
-    ``None`` when even the base selection exceeds the limit, i.e. the
-    instance is genuinely infeasible.
-    """
-    sign = -1.0 if maximize else 1.0
-    chosen = [
-        min(
-            range(len(windows)),
-            key=lambda alt: (weight(windows[alt]), sign * value(windows[alt])),
-        )
-        for windows in lists
-    ]
-    slack = limit - sum(weight(windows[alt]) for windows, alt in zip(lists, chosen))
-    if slack < -1e-9:
-        return None
-    for index, windows in enumerate(lists):
-        best = chosen[index]
-        current = weight(windows[best])
-        for alt, window in enumerate(windows):
-            affordable = weight(window) - current <= slack + 1e-9
-            if affordable and sign * value(window) < sign * value(windows[best]):
-                best = alt
-        slack -= weight(windows[best]) - current
-        chosen[index] = best
-    return chosen
-
-
 def _backward_run(
     g_values: list[list[float]],
     z_weights: list[list[int]],
@@ -403,10 +259,9 @@ class DPMemo:
     keys each solved instance by the **values** the DP consumes — the
     extremum direction, the bin capacity, and the per-job ``(g, z)``
     rows — so invalidation is automatic: any change to an alternative
-    set, the limit, or a budget-forced resolution step-down produces a
-    different key and misses.  Infeasible outcomes (``None``) are cached
-    too; re-posing an infeasible instance is as common as re-posing a
-    solvable one.
+    set, the limit, or the resolution produces a different key and
+    misses.  Infeasible outcomes (``None``) are cached too; re-posing an
+    infeasible instance is as common as re-posing a solvable one.
 
     Entries are LRU-evicted beyond ``max_entries``.  Hits return a copy
     of the cached selection, so callers may mutate their result freely.
@@ -498,23 +353,18 @@ def _solve(
     maximize: bool,
     label: str,
     resolution: int,
-    budget: OptimizationBudget | None,
     memo: DPMemo | None,
-    started: float,
-) -> tuple[list[int], float, bool]:
+) -> tuple[list[int], float]:
     """Phase 2's one driver: eq. (1) over ``measure`` under ``limit``.
 
     Chooses one window per job, extremizing ``measure`` (``max`` when
-    ``maximize``) subject to ``Σ measure.dual <= limit``.  The budget
-    steps the resolution down to fit ``budget.max_cells``; when the
-    table still does not fit, or ``budget.deadline`` elapsed since
-    ``started``, :func:`_greedy_choose` replaces the DP.  The backward
-    run goes through ``memo`` when one is given.  ``label`` tags the
-    ``dp.*`` / ``optimize.degraded`` metrics and decision records.
+    ``maximize``) subject to ``Σ measure.dual <= limit``, with the
+    constraint discretized into ``resolution`` bins.  The backward run
+    goes through ``memo`` when one is given.  ``label`` tags the
+    ``dp.*`` metrics and decision records.
 
     Returns:
-        ``(chosen alternative index per job, extremal measure total,
-        degraded)``.
+        ``(chosen alternative index per job, extremal measure total)``.
 
     Raises:
         InfeasibleConstraintError: When no selection fits the limit.
@@ -522,59 +372,42 @@ def _solve(
     telemetry = get_telemetry()
     constrained = measure.dual
     value, weight = _READ[measure], _READ[constrained]
-    total_alternatives = sum(len(windows) for windows in lists)
-    fitted, exhausted = _fit_resolution(total_alternatives, resolution, limit, budget)
-    if exhausted or _out_of_time(started, budget):
-        mode: str | None = "max_cells" if exhausted else "deadline"
-        chosen = _greedy_choose(lists, value, weight, limit, maximize=maximize)
-        solved = None if chosen is None else (
-            chosen,
-            float(sum(value(windows[alt]) for windows, alt in zip(lists, chosen))),
+    g_values = [[value(window) for window in windows] for windows in lists]
+    flat_z = [weight(window) for windows in lists for window in windows]
+    weights_flat, capacity = _discretize(flat_z, limit, resolution)
+    z_weights: list[list[int]] = []
+    cursor = 0
+    for windows in lists:
+        z_weights.append(weights_flat[cursor : cursor + len(windows)])
+        cursor += len(windows)
+    if telemetry.enabled:
+        # The run's size before it executes: ``dp.table_cells`` is
+        # the exact number of ``f_i`` entries _backward_run fills.
+        total_alternatives = len(flat_z)
+        telemetry.count("dp.runs", 1, objective=label)
+        telemetry.count(
+            "dp.table_cells",
+            total_alternatives * (capacity + 1),
+            objective=label,
         )
+        telemetry.observe("dp.capacity", capacity, objective=label)
+        telemetry.observe("dp.alternatives", total_alternatives, objective=label)
+    began = time.perf_counter()
+    if memo is None:
+        solved = _backward_run(g_values, z_weights, capacity, maximize=maximize)
     else:
-        mode = "stepdown" if fitted != resolution else None
-        g_values = [[value(window) for window in windows] for windows in lists]
-        flat_z = [weight(window) for windows in lists for window in windows]
-        weights_flat, capacity = _discretize(flat_z, limit, fitted)
-        z_weights: list[list[int]] = []
-        cursor = 0
-        for windows in lists:
-            z_weights.append(weights_flat[cursor : cursor + len(windows)])
-            cursor += len(windows)
-        if telemetry.enabled:
-            # The run's size before it executes: ``dp.table_cells`` is
-            # the exact number of ``f_i`` entries _backward_run fills.
-            telemetry.count("dp.runs", 1, objective=label)
-            telemetry.count(
-                "dp.table_cells",
-                total_alternatives * (capacity + 1),
-                objective=label,
-            )
-            telemetry.observe("dp.capacity", capacity, objective=label)
-            telemetry.observe("dp.alternatives", total_alternatives, objective=label)
-            if mode and telemetry.decisions.enabled:
-                telemetry.decisions.emit(
-                    "dp.resolution_stepdown",
-                    objective=label,
-                    requested=resolution,
-                    fitted=fitted,
-                )
-        began = time.perf_counter()
-        if memo is None:
-            solved = _backward_run(g_values, z_weights, capacity, maximize=maximize)
-        else:
-            solved = memo.backward_run(
-                g_values,
-                z_weights,
-                capacity,
-                maximize=maximize,
-                telemetry=telemetry,
-                label=label,
-            )
-        if telemetry.enabled:
-            telemetry.observe(
-                "phase.seconds", time.perf_counter() - began, phase="phase2.dp"
-            )
+        solved = memo.backward_run(
+            g_values,
+            z_weights,
+            capacity,
+            maximize=maximize,
+            telemetry=telemetry,
+            label=label,
+        )
+    if telemetry.enabled:
+        telemetry.observe(
+            "phase.seconds", time.perf_counter() - began, phase="phase2.dp"
+        )
     if solved is None:
         if telemetry.enabled:
             telemetry.count("dp.infeasible", 1, objective=label)
@@ -587,13 +420,7 @@ def _solve(
             limit=limit,
             best=best,
         )
-    if mode and telemetry.enabled:
-        telemetry.count("optimize.degraded", 1, objective=label, mode=mode)
-        if mode != "stepdown" and telemetry.decisions.enabled:
-            telemetry.decisions.emit(
-                "dp.greedy_fallback", objective=label, reason=mode, limit=limit
-            )
-    return solved[0], solved[1], mode is not None
+    return solved
 
 
 def optimize(
@@ -602,20 +429,12 @@ def optimize(
     limit: float,
     *,
     resolution: int = DEFAULT_RESOLUTION,
-    budget: OptimizationBudget | None = None,
     memo: DPMemo | None = None,
 ) -> Combination:
     """Choose one window per job minimizing ``objective`` under ``limit``.
 
     The limit constrains the *dual* criterion: minimizing time runs under
     the VO budget ``B*``; minimizing cost runs under the quota ``T*``.
-
-    With a ``budget``, overload degrades instead of failing: the DP
-    resolution is stepped down to fit ``budget.max_cells``, and when the
-    table still does not fit (or ``budget.deadline`` already elapsed)
-    a greedy per-job selection is returned.  Either way the result is
-    marked ``degraded=True`` and stays feasible — budget exhaustion
-    never raises.
 
     The backward run goes through ``memo`` when one is supplied — see
     :class:`DPMemo`; a hit reproduces the memo-off outcome exactly.
@@ -625,11 +444,9 @@ def optimize(
     never ambient process state.
 
     Raises:
-        InfeasibleConstraintError: When no selection fits the limit
-            (genuine infeasibility — independent of any budget).
+        InfeasibleConstraintError: When no selection fits the limit.
         OptimizationError: When a job has no alternatives.
     """
-    started = time.monotonic()
     jobs, lists = _as_job_lists(alternatives)
     if not jobs:
         return Combination({}, 0.0, 0.0, objective, limit)
@@ -641,16 +458,14 @@ def optimize(
     else:
         phase_span = NOOP_SPAN
     with phase_span:
-        chosen, _, degraded = _solve(
+        chosen, _ = _solve(
             lists,
             objective,
             limit,
             maximize=False,
             label=objective.value,
             resolution=resolution,
-            budget=budget,
             memo=memo,
-            started=started,
         )
         selection = {
             job: windows[alt] for job, windows, alt in zip(jobs, lists, chosen)
@@ -665,9 +480,8 @@ def optimize(
                     alternative=alt + 1,
                     start=window.start,
                     cost=window.cost,
-                    degraded=degraded,
                 )
-        return Combination.of(selection, objective, limit, degraded=degraded)
+        return Combination.of(selection, objective, limit)
 
 
 def vo_budget(
@@ -675,7 +489,6 @@ def vo_budget(
     quota: float | None = None,
     *,
     resolution: int = DEFAULT_RESOLUTION,
-    budget: OptimizationBudget | None = None,
     memo: DPMemo | None = None,
 ) -> float:
     """The VO budget ``B*`` of eq. (3).
@@ -687,9 +500,6 @@ def vo_budget(
     Args:
         alternatives: Phase-1 output; every job must have alternatives.
         quota: The time quota ``T*``; computed by eq. (2) when omitted.
-        budget: Optional degradation budget; on exhaustion ``B*`` is
-            estimated by a greedy selection instead of the DP (a lower
-            bound on the exact income, still quota-feasible).
         memo: Optional DP memo for the backward run (``None``
             recomputes; see :class:`DPMemo`).
 
@@ -698,7 +508,6 @@ def vo_budget(
             exceeds the quota (the scheduling iteration is then dropped,
             matching the paper's experimental protocol).
     """
-    started = time.monotonic()
     jobs, lists = _as_job_lists(alternatives)
     if not jobs:
         return 0.0
@@ -710,16 +519,14 @@ def vo_budget(
     else:
         phase_span = NOOP_SPAN
     with phase_span:
-        _, income, _ = _solve(
+        _, income = _solve(
             lists,
             Criterion.COST,
             quota,
             maximize=True,
             label="budget",
             resolution=resolution,
-            budget=budget,
             memo=memo,
-            started=started,
         )
         return income
 
@@ -729,7 +536,6 @@ def minimize_time(
     budget_limit: float,
     *,
     resolution: int = DEFAULT_RESOLUTION,
-    budget: OptimizationBudget | None = None,
     memo: DPMemo | None = None,
 ) -> Combination:
     """``min T(s̄)`` subject to ``C(s̄) <= B*`` (the Fig. 4 experiment)."""
@@ -738,7 +544,6 @@ def minimize_time(
         Criterion.TIME,
         budget_limit,
         resolution=resolution,
-        budget=budget,
         memo=memo,
     )
 
@@ -748,7 +553,6 @@ def minimize_cost(
     quota: float,
     *,
     resolution: int = DEFAULT_RESOLUTION,
-    budget: OptimizationBudget | None = None,
     memo: DPMemo | None = None,
 ) -> Combination:
     """``min C(s̄)`` subject to ``T(s̄) <= T*`` (the Fig. 6 experiment)."""
@@ -757,7 +561,6 @@ def minimize_cost(
         Criterion.COST,
         quota,
         resolution=resolution,
-        budget=budget,
         memo=memo,
     )
 

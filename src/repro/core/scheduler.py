@@ -27,7 +27,6 @@ from repro.core.optimize import (
     DEFAULT_RESOLUTION,
     Combination,
     DPMemo,
-    OptimizationBudget,
     minimize_cost,
     minimize_time,
     time_quota,
@@ -65,9 +64,6 @@ class SchedulerConfig:
         resolution: DP discretization bins.
         max_alternatives_per_job: Optional cap on phase-1 alternatives.
         infeasible_policy: Behaviour when the DP constraint cannot be met.
-        budget: Optional deadline/operation budget for phase 2; under
-            overload the DP degrades (stepped-down resolution, then a
-            greedy per-job selection) instead of stalling the iteration.
 
     The config holds no DP memo: every :class:`BatchScheduler` owns a
     private :class:`~repro.core.optimize.DPMemo`, so schedulers never
@@ -80,7 +76,6 @@ class SchedulerConfig:
     resolution: int = DEFAULT_RESOLUTION
     max_alternatives_per_job: int | None = None
     infeasible_policy: InfeasiblePolicy = InfeasiblePolicy.RAISE
-    budget: OptimizationBudget | None = None
 
 
 @dataclass
@@ -98,9 +93,6 @@ class ScheduleOutcome:
             minimization, where the quota itself is the constraint).
         used_fallback: ``True`` when the earliest-alternative fallback
             replaced an infeasible DP (see :class:`InfeasiblePolicy`).
-        degraded: ``True`` when the phase-2 optimization ran degraded
-            (stepped-down resolution or greedy fallback) because of an
-            :class:`~repro.core.optimize.OptimizationBudget`.
     """
 
     combination: Combination
@@ -109,7 +101,6 @@ class ScheduleOutcome:
     quota: float
     budget: float | None
     used_fallback: bool = False
-    degraded: bool = False
 
     @property
     def scheduled_jobs(self) -> dict[Job, Window]:
@@ -182,14 +173,12 @@ class BatchScheduler:
                         covered,
                         quota,
                         resolution=config.resolution,
-                        budget=config.budget,
                         memo=self._dp_memo,
                     )
                     combination = minimize_time(
                         covered,
                         budget,
                         resolution=config.resolution,
-                        budget=config.budget,
                         memo=self._dp_memo,
                     )
                 else:
@@ -197,7 +186,6 @@ class BatchScheduler:
                         covered,
                         quota,
                         resolution=config.resolution,
-                        budget=config.budget,
                         memo=self._dp_memo,
                     )
             except InfeasibleConstraintError:
@@ -225,5 +213,4 @@ class BatchScheduler:
                 quota=quota,
                 budget=budget,
                 used_fallback=used_fallback,
-                degraded=combination.degraded,
             )

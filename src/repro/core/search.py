@@ -146,7 +146,6 @@ def find_alternatives(
     algorithm: SlotSearchAlgorithm | WindowFinder = SlotSearchAlgorithm.AMP,
     *,
     rho: float = 1.0,
-    max_passes: int | None = None,
     max_alternatives_per_job: int | None = None,
     use_index: bool = True,
 ) -> SearchResult:
@@ -160,8 +159,6 @@ def find_alternatives(
             :data:`WindowFinder` callable (used by the baselines and by
             ablation experiments).
         rho: AMP budget-shrink factor (Section 6 extension).
-        max_passes: Optional safety cap on batch passes; ``None`` runs
-            until a pass finds nothing (the paper's stopping rule).
         max_alternatives_per_job: Optional cap on alternatives collected
             per job; jobs at the cap are skipped in later passes.
         use_index: Run the ALP/AMP scans through the shared
@@ -171,8 +168,6 @@ def find_alternatives(
             find.  Custom finder callables always run on the naive
             loop.  Enabled telemetry never changes the path.
     """
-    if max_passes is not None and max_passes < 1:
-        raise InvalidRequestError(f"max_passes must be >= 1, got {max_passes!r}")
     if max_alternatives_per_job is not None and max_alternatives_per_job < 1:
         raise InvalidRequestError(
             f"max_alternatives_per_job must be >= 1, got {max_alternatives_per_job!r}"
@@ -186,7 +181,6 @@ def find_alternatives(
                 batch,
                 algorithm,
                 rho=rho,
-                max_passes=max_passes,
                 max_alternatives_per_job=max_alternatives_per_job,
             )
         finder, algo_label = algorithm.finder(rho=rho), algorithm.value
@@ -198,7 +192,6 @@ def find_alternatives(
         batch,
         finder,
         algo_label,
-        max_passes=max_passes,
         max_alternatives_per_job=max_alternatives_per_job,
     )
 
@@ -230,7 +223,6 @@ def _find_alternatives_naive(
     finder: WindowFinder,
     algo_label: str,
     *,
-    max_passes: int | None,
     max_alternatives_per_job: int | None,
 ) -> SearchResult:
     """The reference multi-pass loop: the executable specification.
@@ -244,7 +236,7 @@ def _find_alternatives_naive(
         working = slot_list.copy()
         alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
         passes = 0
-        while max_passes is None or passes < max_passes:
+        while True:
             passes += 1
             found_any = False
             for job in batch:
@@ -277,7 +269,6 @@ def _find_alternatives_indexed(
     algorithm: SlotSearchAlgorithm,
     *,
     rho: float,
-    max_passes: int | None,
     max_alternatives_per_job: int | None,
 ) -> SearchResult:
     """The multi-pass scheme over a shared :class:`SlotIndex`.
@@ -329,7 +320,7 @@ def _find_alternatives_indexed(
         # subtraction.
         exhausted: set[Job] = set()
         passes = 0
-        while max_passes is None or passes < max_passes:
+        while True:
             passes += 1
             found_any = False
             for job in batch:

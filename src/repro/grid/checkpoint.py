@@ -214,7 +214,8 @@ def _encode_interval(interval: BusyInterval) -> list[Any]:
 
 
 def _encode_report(report: IterationReport) -> dict[str, Any]:
-    return report.__dict__.copy()
+    # Always-false "degraded" keeps snapshots byte-identical to older ones.
+    return report.__dict__ | {"degraded": False}
 
 
 def _encode_record(record: JobRecord) -> dict[str, Any]:
@@ -230,7 +231,7 @@ def _encode_record(record: JobRecord) -> dict[str, Any]:
 
 
 def _encode_scheduler(config: SchedulerConfig) -> dict[str, Any]:
-    payload: dict[str, Any] = {
+    return {
         "algorithm": config.algorithm.value,
         "objective": config.objective.value,
         "rho": config.rho,
@@ -238,14 +239,6 @@ def _encode_scheduler(config: SchedulerConfig) -> dict[str, Any]:
         "max_alternatives_per_job": config.max_alternatives_per_job,
         "infeasible_policy": config.infeasible_policy.value,
     }
-    budget = getattr(config, "budget", None)
-    if budget is not None:
-        payload["budget"] = {
-            "max_cells": budget.max_cells,
-            "deadline": budget.deadline,
-            "min_resolution": budget.min_resolution,
-        }
-    return payload
 
 
 def _encode_pricing(pricing: DemandAdjustedPricing | None) -> dict[str, Any] | None:
@@ -577,15 +570,10 @@ def _decode_environment(
 
 
 def _decode_scheduler(data: dict[str, Any]) -> BatchScheduler:
-    kwargs: dict[str, Any] = {}
-    if data.get("budget") is not None:
-        from repro.core.optimize import OptimizationBudget
-
-        budget = data["budget"]
-        kwargs["budget"] = OptimizationBudget(
-            max_cells=budget.get("max_cells"),
-            deadline=budget.get("deadline"),
-            min_resolution=budget.get("min_resolution", 50),
+    if "budget" in data:
+        raise CheckpointMismatchError(
+            "snapshot carries a phase-2 optimization budget, which this version "
+            "no longer supports; restoring it would run phase 2 differently"
         )
     config = SchedulerConfig(
         algorithm=SlotSearchAlgorithm(data["algorithm"]),
@@ -594,7 +582,6 @@ def _decode_scheduler(data: dict[str, Any]) -> BatchScheduler:
         resolution=int(data["resolution"]),
         max_alternatives_per_job=data.get("max_alternatives_per_job"),
         infeasible_policy=InfeasiblePolicy(data["infeasible_policy"]),
-        **kwargs,
     )
     return BatchScheduler(config)
 
@@ -717,7 +704,10 @@ def restore_metascheduler(data: dict[str, Any]) -> Metascheduler:
         int(uid): int(tick) for uid, tick in state.get("revoked_at", {}).items()
     }
     meta.admission_rejections = int(state.get("admission_rejections", 0))
-    meta.reports = [IterationReport(**report) for report in data.get("reports", [])]
+    meta.reports = [
+        IterationReport(**{key: value for key, value in report.items() if key != "degraded"})
+        for report in data.get("reports", [])
+    ]
     _advance_uid_counters(resources, list(jobs_by_uid.values()))
     return meta
 

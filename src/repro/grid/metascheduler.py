@@ -59,9 +59,6 @@ class IterationReport:
         rejected: Jobs dropped for exceeding the retry limit.
         total_alternatives: Phase-1 alternatives found for the batch.
         used_fallback: Whether the earliest-alternative fallback fired.
-        degraded: Whether phase 2 ran under a degraded regime this
-            iteration (stepped-down DP resolution or the greedy
-            fallback) because of a deadline/operation budget.
         revocations: Windows revoked by outages since the previous tick.
         hot_swaps: Revocations recovered from retained alternatives in
             the same event (no queue round trip).
@@ -79,7 +76,6 @@ class IterationReport:
     rejected: int
     total_alternatives: int
     used_fallback: bool
-    degraded: bool = False
     revocations: int = 0
     hot_swaps: int = 0
     replacements: int = 0
@@ -349,7 +345,6 @@ class Metascheduler:
             rejected=rejected,
             total_alternatives=outcome.search.total_alternatives,
             used_fallback=outcome.used_fallback,
-            degraded=outcome.degraded,
             revocations=resilience["revocations"],
             hot_swaps=resilience["hot_swaps"],
             replacements=resilience["replacements"],
@@ -383,8 +378,6 @@ class Metascheduler:
         telemetry.count("meta.rejected", report.rejected)
         if report.used_fallback:
             telemetry.count("meta.fallbacks")
-        if report.degraded:
-            telemetry.count("meta.degraded_iterations")
         telemetry.set_gauge("meta.backlog", self.backlog())
         telemetry.observe("meta.batch_size", report.batch_size)
         telemetry.observe("meta.slot_count", report.slot_count)
@@ -401,7 +394,6 @@ class Metascheduler:
             rejected=report.rejected,
             total_alternatives=report.total_alternatives,
             used_fallback=report.used_fallback,
-            degraded=report.degraded,
             price_multiplier=price_multiplier,
             backlog=self.backlog(),
             revocations=report.revocations,

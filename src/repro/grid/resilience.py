@@ -182,7 +182,7 @@ def apply_slot_outages(
     horizon_end = max(slot.end for slot in slots)
     generator = FailureGenerator(config)
     streams: dict[str, list[Outage]] = {}
-    degraded = SlotList()
+    surviving = SlotList()
     for slot in slots:
         name = slot.resource.name
         outages = streams.get(name)
@@ -192,8 +192,8 @@ def apply_slot_outages(
             )
             streams[name] = outages
         for piece_start, piece_end in _subtract_outages(slot.start, slot.end, outages):
-            degraded.insert(Slot(slot.resource, piece_start, piece_end, slot.price))
-    return degraded
+            surviving.insert(Slot(slot.resource, piece_start, piece_end, slot.price))
+    return surviving
 
 
 def _subtract_outages(

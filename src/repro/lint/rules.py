@@ -91,8 +91,8 @@ class EntropyRule(Rule):
 
     Monotonic duration clocks (``time.monotonic``,
     ``time.perf_counter``) are deliberately *not* flagged: they measure
-    elapsed time for budgets and telemetry and never produce values
-    that feed seeded state or serialized results.
+    elapsed time for telemetry only and never produce values that feed
+    seeded state, scheduling decisions or serialized results.
     """
 
     code = "RPR001"

@@ -1,11 +1,10 @@
-"""Decision records: why the scheduler accepted, pruned, or degraded.
+"""Decision records: why the scheduler accepted, pruned, or fell back.
 
 The metric registry answers *how much* (slots scanned, windows found);
 decision records answer *why*: which candidate windows a job's search
 considered, why each was pruned (price cap, budget, occupancy,
 start-hint skip), which alternative the phase-2 DP chose, and when the
-optimizer stepped its resolution down or fell back to the greedy
-selection.  ``repro explain --job J`` replays the decision path for one
+DP found no feasible combination.  ``repro explain --job J`` replays the decision path for one
 job from a recorded trace.
 
 Design rules, mirroring the rest of :mod:`repro.obs`:

@@ -20,6 +20,9 @@ cost-minimization iterations having smaller batches) are measurable.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -131,7 +134,7 @@ class ExperimentConfig:
         rho: AMP budget-shrink factor (Section 6 extension; 1.0 = paper).
         failures: Optional stochastic failure model
             (:class:`repro.grid.resilience.FailureConfig`).  When set,
-            every iteration's slot list is degraded by seeded per-node
+            every iteration's slot list loses the time of seeded per-node
             outage streams (:func:`repro.grid.resilience.apply_slot_outages`)
             before the pipelines run — modelling non-dedicated resources
             whose vacant time is interrupted by failures.  The streams
@@ -453,6 +456,29 @@ def _shard_spans(iterations: int, shards: int) -> list[tuple[int, int]]:
     return [span for span in spans if span[0] < span[1]]
 
 
+#: Seconds between a pool worker's checks that its parent is alive.
+_PARENT_POLL_SECONDS = 0.2
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker once its parent process is gone.
+
+    A ``SIGKILL``-ed parent cannot shut its pool down, and its workers,
+    reparented, would finish their chunk and then wait forever for the
+    next.  The initializer records the parent pid; a daemon thread polls
+    :func:`os.getppid` and leaves the process with :func:`os._exit` as
+    soon as the worker has been reparented.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
 class ParallelRunner:
     """Shards a seeded experiment series across worker processes.
 
@@ -538,7 +564,10 @@ class ParallelRunner:
         done = 0
         while True:
             try:
-                with ProcessPoolExecutor(max_workers=self.workers) as pool:
+                with ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=_exit_with_parent,
+                ) as pool:
                     try:
                         results = pool.map(
                             task,

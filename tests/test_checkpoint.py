@@ -295,6 +295,30 @@ class TestValidation:
         with pytest.raises(CheckpointMismatchError, match="undeclared job uid 4242"):
             restore_metascheduler(data)
 
+    def test_snapshot_with_optimization_budget_rejected(self):
+        # Older snapshots could carry a phase-2 budget (resolution
+        # step-down, greedy fallback, deadline).  Restoring one without
+        # it would run phase 2 differently, so it is refused.
+        data = scheduled_document()
+        data["scheduler"]["budget"] = {
+            "max_cells": 2_000_000,
+            "deadline": None,
+            "min_resolution": 50,
+        }
+        with pytest.raises(CheckpointMismatchError, match="optimization budget"):
+            restore_metascheduler(data)
+
+    def test_report_degraded_key_decodes_and_renders_unchanged(self):
+        # Every report ever written carries ``"degraded": false``; it is
+        # dropped on decode and written back, so the bytes stay the same.
+        data = json.loads(json.dumps(snapshot_metascheduler(scheduled_meta())))
+        assert data["reports"]
+        assert all(report["degraded"] is False for report in data["reports"])
+        restored = restore_metascheduler(data)
+        assert stdlib_text(snapshot_metascheduler(restored)) == stdlib_text(data)
+        rendered = checkpoint._SnapshotText().render(restored, {})
+        assert rendered + "\n" == stdlib_text(data)
+
     def test_bare_document_with_unknown_format_rejected(self):
         # The format tag is checked before any other key is read, so a
         # foreign document fails as a mismatch, not as a KeyError.

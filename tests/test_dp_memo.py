@@ -1,8 +1,8 @@
 """Tests for the cross-cycle DP memoization (repro.core.optimize.DPMemo).
 
 The memo is keyed by the values the backward run consumes, so
-invalidation must be automatic: changing the alternative sets, the
-constraint limit, or a budget-forced resolution step-down must all miss.
+invalidation must be automatic: changing the alternative sets or the
+constraint limit must miss.
 And memo-on runs must be byte-identical to memo-off runs — a hit returns
 exactly what recomputation would.
 """
@@ -16,7 +16,6 @@ from repro.core.criteria import Criterion
 from repro.core.errors import InfeasibleConstraintError, OptimizationError
 from repro.core.optimize import (
     DPMemo,
-    OptimizationBudget,
     minimize_time,
     optimize,
     time_quota,
@@ -46,7 +45,6 @@ def combination_key(combination):
     return (
         combination.total_cost,
         combination.total_time,
-        combination.degraded,
         sorted(
             (job.name, window.start, window.cost)
             for job, window in combination.selection.items()
@@ -88,31 +86,6 @@ class TestMemoHitsAndInvalidation:
         optimize(covered, Criterion.COST, quota, memo=memo)
         optimize(covered, Criterion.COST, quota * 2.0, memo=memo)
         assert memo.stats() == {"hits": 0, "misses": 2, "entries": 2}
-
-    def test_budget_stepdown_mid_stream_invalidates(self):
-        covered = covered_alternatives(4)
-        quota = time_quota(covered)
-        memo = DPMemo()
-        optimize(covered, Criterion.COST, quota, resolution=400, memo=memo)
-        # A max_cells budget forces the resolution down mid-stream: the
-        # discretization (capacity and z rows) changes, so the memo must
-        # miss and re-solve at the coarser bins.
-        total = sum(len(windows) for windows in covered.values())
-        budget = OptimizationBudget(max_cells=total * 101, min_resolution=50)
-        stepped = optimize(
-            covered, Criterion.COST, quota, resolution=400, budget=budget, memo=memo
-        )
-        assert memo.stats()["misses"] == 2
-        assert stepped.degraded
-        reference = optimize(
-            covered,
-            Criterion.COST,
-            quota,
-            resolution=400,
-            budget=budget,
-            memo=None,
-        )
-        assert combination_key(stepped) == combination_key(reference)
 
     def test_infeasible_outcomes_are_cached(self):
         resource = make_resource("solo", performance=1.0, price=1.0)

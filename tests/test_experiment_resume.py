@@ -327,3 +327,69 @@ class TestKillResumeSmoke:
         assert resumed.returncode == 0, res_err.decode()
         assert res_out == ref_out
         assert b"resuming from checkpoint" in res_err
+
+
+def _children(pid: int) -> set[int]:
+    """Live pids whose parent is ``pid``, read from ``/proc``."""
+    found = set()
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # ``pid (comm) state ppid ...``: comm may hold spaces, so split after it.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.add(int(entry.name))
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie (which nothing may reap)."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    return "\nState:\tZ" not in status
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestOrphanedPoolWorkers:
+    """Pool workers exit when their parent is SIGKILLed mid-run."""
+
+    SCRIPT = (
+        "from repro.sim import ExperimentConfig, ParallelRunner\n"
+        "ParallelRunner(ExperimentConfig(iterations=100_000, seed=3), workers=2).run()\n"
+    )
+
+    def test_workers_exit_after_parent_sigkill(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        parent = subprocess.Popen(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        workers: set[int] = set()
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert parent.poll() is None, "the run ended before its pool started"
+                workers = _children(parent.pid)
+                time.sleep(0.05)
+            assert len(workers) >= 2
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait(timeout=10)
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)

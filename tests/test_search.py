@@ -51,8 +51,6 @@ class TestFinderResolution:
         slots = make_uniform_slots(1)
         batch = _batch(ResourceRequest(1, 10.0))
         with pytest.raises(InvalidRequestError):
-            find_alternatives(slots, batch, max_passes=0)
-        with pytest.raises(InvalidRequestError):
             find_alternatives(slots, batch, max_alternatives_per_job=0)
 
 
@@ -105,13 +103,6 @@ class TestSearchScheme:
         batch = _batch(ResourceRequest(1, 10.0))
         result = find_alternatives(slots, batch, max_alternatives_per_job=3)
         assert result.total_alternatives == 3
-
-    def test_max_passes_cap(self):
-        slots = make_uniform_slots(1, length=1000.0)
-        batch = _batch(ResourceRequest(1, 10.0))
-        result = find_alternatives(slots, batch, max_passes=2)
-        assert result.passes == 2
-        assert result.total_alternatives == 2
 
     def test_input_list_untouched(self):
         slots = make_uniform_slots(2, length=100.0)
