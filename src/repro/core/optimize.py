@@ -187,9 +187,35 @@ def _discretize(values: list[float], limit: float, resolution: int) -> tuple[lis
     return weights, capacity
 
 
+def _undominated(
+    job_g: list[float], job_z: list[int], capacity: int, *, maximize: bool
+) -> list[int]:
+    """Indices of one job's alternatives that the backward run can choose.
+
+    Alternative ``b`` is dropped when some earlier ``a < b`` has
+    ``z_a <= z_b`` and a ``g_a`` at least as good (``<=`` when
+    minimizing, ``>=`` when maximizing); :func:`_backward_run` shows it
+    never wins a column.  Alternatives heavier than ``capacity`` fit no
+    column and are dropped too.  Comparing against the kept indices
+    alone suffices: dominance is transitive, so a dropped dominator's own
+    dominator is kept and dominates as well.
+    """
+    kept: list[int] = []
+    for alt, (g, z) in enumerate(zip(job_g, job_z)):
+        if z > capacity:
+            continue
+        for a in kept:
+            if job_z[a] <= z and (job_g[a] >= g if maximize else job_g[a] <= g):
+                break
+        else:
+            kept.append(alt)
+    return kept
+
+
 def _backward_run(
     g_values: list[list[float]],
     z_weights: list[list[int]],
+    kept: list[list[int]],
     capacity: int,
     *,
     maximize: bool,
@@ -197,31 +223,51 @@ def _backward_run(
     """Solve the multiple-choice knapsack by the paper's backward run.
 
     ``f_i(b)`` is the extremal total of ``g`` over jobs ``i..n`` when bins
-    ``b`` of the constraint remain; the recurrence is eq. (1).  Vectorised
-    over the constraint axis with numpy.
+    ``b`` of the constraint remain; the recurrence is eq. (1).  Each job
+    folds its ``kept`` alternatives (from :func:`_undominated`), in index
+    order, into one ``best`` vector over the constraint axis: a candidate
+    ``g + f_{i+1}(b − z)`` overwrites column ``b`` only where it is
+    strictly better, and ``choice`` records its index there.
+
+    This is exactly the extremum over *all* alternatives with the
+    first-index tie rule of ``argmin`` / ``argmax``:
+
+    * ``f_{i+1}`` is monotone in the remaining bins (non-increasing when
+      minimizing, non-decreasing when maximizing): ``f_{n+1} ≡ 0``, and a
+      larger ``b`` admits more alternatives, each over a monotone
+      ``f_{i+2}``.  IEEE-754 rounding of ``+`` is monotone, so this holds
+      bit for bit.
+    * If ``a < b`` with ``z_a <= z_b`` and ``g_a`` at least as good, then
+      in every column ``b`` fills, ``g_a + f(b' − z_a)`` is at least as
+      good as ``g_b + f(b' − z_b)``: a dropped alternative never beats its
+      dominator, so the first index attaining the extremum is always kept.
+    * A strict comparison in index order keeps the first index among
+      ties, and a column no candidate improves keeps ``±inf`` and index 0,
+      which is what ``argmin`` / ``argmax`` return on an all-``±inf``
+      column.
 
     Returns:
         ``(chosen indices, extremal objective)`` or ``None`` when no
         selection fits the capacity.
     """
     bad = math.inf if not maximize else -math.inf
+    better = np.greater if maximize else np.less
     spread = capacity + 1
     f_next = np.zeros(spread)
     choices: list[np.ndarray] = []
-    for job_g, job_z in zip(reversed(g_values), reversed(z_weights)):
-        table = np.full((len(job_g), spread), bad)
-        for alt, (g, z) in enumerate(zip(job_g, job_z)):
-            if z > capacity:
-                continue
-            row = table[alt]
-            row[z:] = g + f_next[: spread - z]
-        if maximize:
-            choice = np.argmax(table, axis=0)
-            f_next = np.max(table, axis=0)
-        else:
-            choice = np.argmin(table, axis=0)
-            f_next = np.min(table, axis=0)
+    for job_g, job_z, job_kept in zip(
+        reversed(g_values), reversed(z_weights), reversed(kept)
+    ):
+        best = np.full(spread, bad)
+        choice = np.zeros(spread, dtype=np.intp)
+        for alt in job_kept:
+            z = job_z[alt]
+            candidate = job_g[alt] + f_next[: spread - z]
+            improves = better(candidate, best[z:])
+            np.copyto(best[z:], candidate, where=improves)
+            np.copyto(choice[z:], alt, where=improves)
         choices.append(choice)
+        f_next = best
     choices.reverse()
     if not math.isfinite(f_next[capacity]):
         return None
@@ -250,18 +296,22 @@ _DPKey = tuple[bool, int, tuple[tuple[tuple[float, ...], tuple[int, ...]], ...]]
 
 
 class DPMemo:
-    """Cross-cycle cache of backward-run DP results (ROADMAP item 3).
+    """Cross-cycle cache of backward-run DP results.
 
-    Between metascheduler iterations the slot list changes only
-    incrementally, so consecutive cycles frequently pose phase 2 the
-    *same* multiple-choice knapsack — identical alternative sets,
-    identical quota/budget limit, identical discretization.  The memo
-    keys each solved instance by the **values** the DP consumes — the
-    extremum direction, the bin capacity, and the per-job ``(g, z)``
-    rows — so invalidation is automatic: any change to an alternative
-    set, the limit, or the resolution produces a different key and
-    misses.  Infeasible outcomes (``None``) are cached too; re-posing an
-    infeasible instance is as common as re-posing a solvable one.
+    The memo was added on the premise that consecutive metascheduler
+    cycles re-pose phase 2 the *same* multiple-choice knapsack.
+    Measured, they do not: it serves 0 hits on every perfbench workload
+    (``series``, ``series-metrics``, ``vo-durable``) at both benchmark
+    seeds, every lookup a miss.  Deleting it waits for the next change
+    to the benchmark, because ``perfbench/workloads.py`` constructs a
+    memo and reads :meth:`stats` (ROADMAP item 3).
+
+    The memo keys each solved instance by the **values** the DP
+    consumes — the extremum direction, the bin capacity, and the
+    per-job ``(g, z)`` rows — so invalidation is automatic: any change
+    to an alternative set, the limit, or the resolution produces a
+    different key and misses.  Infeasible outcomes (``None``) are
+    cached too.
 
     Entries are LRU-evicted beyond ``max_entries``.  Hits return a copy
     of the cached selection, so callers may mutate their result freely.
@@ -305,6 +355,7 @@ class DPMemo:
         self,
         g_values: list[list[float]],
         z_weights: list[list[int]],
+        kept: list[list[int]],
         capacity: int,
         *,
         maximize: bool,
@@ -338,7 +389,7 @@ class DPMemo:
         self.misses += 1
         if telemetry.enabled:
             telemetry.count("dp.memo.misses", 1, objective=label)
-        solved = _backward_run(g_values, z_weights, capacity, maximize=maximize)
+        solved = _backward_run(g_values, z_weights, kept, capacity, maximize=maximize)
         entries[key] = None if solved is None else (list(solved[0]), solved[1])
         while len(entries) > self.max_entries:
             entries.popitem(last=False)
@@ -380,25 +431,30 @@ def _solve(
     for windows in lists:
         z_weights.append(weights_flat[cursor : cursor + len(windows)])
         cursor += len(windows)
+    kept = [
+        _undominated(job_g, job_z, capacity, maximize=maximize)
+        for job_g, job_z in zip(g_values, z_weights)
+    ]
     if telemetry.enabled:
-        # The run's size before it executes: ``dp.table_cells`` is
-        # the exact number of ``f_i`` entries _backward_run fills.
-        total_alternatives = len(flat_z)
+        # The run's size before it executes: ``dp.table_cells`` is the
+        # number of ``f_i`` cells _backward_run folds, one row of
+        # ``capacity + 1`` per undominated alternative.
         telemetry.count("dp.runs", 1, objective=label)
         telemetry.count(
             "dp.table_cells",
-            total_alternatives * (capacity + 1),
+            sum(map(len, kept)) * (capacity + 1),
             objective=label,
         )
         telemetry.observe("dp.capacity", capacity, objective=label)
-        telemetry.observe("dp.alternatives", total_alternatives, objective=label)
+        telemetry.observe("dp.alternatives", len(flat_z), objective=label)
     began = time.perf_counter()
     if memo is None:
-        solved = _backward_run(g_values, z_weights, capacity, maximize=maximize)
+        solved = _backward_run(g_values, z_weights, kept, capacity, maximize=maximize)
     else:
         solved = memo.backward_run(
             g_values,
             z_weights,
+            kept,
             capacity,
             maximize=maximize,
             telemetry=telemetry,

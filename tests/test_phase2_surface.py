@@ -153,13 +153,40 @@ def _dp_histograms(label: str, span: str) -> dict:
     }
 
 
-def _memo_counters(label: str) -> dict:
-    """Two DP runs of 8 alternatives × 401 bins: one memo miss, one hit."""
+#: Undominated alternatives per case, of SPEC's 8: ``dp.table_cells``
+#: counts one row of 401 bins for each.  Windows as ``(time, cost)``:
+#: a = (3, 12), (6, 12), (9, 9); b = (2, 10), (5, 15), (8, 16);
+#: c = (4, 12), (7, 14).  An alternative is dominated when an earlier
+#: one of its job is no heavier (in bins) and no worse in ``g``.
+KEPT = {
+    # g = time, z = cost: a2 (a1 is as dear and faster), b2 and b3
+    # (b1 is cheaper and faster) and c2 (c1 likewise) are dominated;
+    # a1, a3, b1, c1 remain.
+    "time-dp": 4,
+    "time-infeasible-dp": 4,
+    # g = cost, z = time: a2 (a1 is as cheap and shorter), b2, b3 and
+    # c2 (b1 and c1 are cheaper and shorter); a1, a3, b1, c1 remain.
+    "cost-dp": 4,
+    # As cost-dp, and a3 (9 time units = 450 bins) exceeds the 400-bin
+    # capacity of a quota of 8: a1, b1, c1 remain.
+    "cost-infeasible-dp": 3,
+    # g = income (maximized), z = time: a1 earns at least as much as a2
+    # and a3 in less time; b's and c's longer windows earn more, so all
+    # five remain beside a1.  Under a quota of 8, b3 (8 time units) is
+    # 400 bins, exactly the capacity, and a3 is dominated either way.
+    "budget-dp": 6,
+    "budget-infeasible-dp": 6,
+}
+
+
+def _memo_counters(case: str) -> dict:
+    """Two DP runs of the case's kept rows × 401 bins: one memo miss, one hit."""
+    label = CASES[case][0]
     return {
         f"dp.memo.hits{{objective={label}}}": 1.0,
         f"dp.memo.misses{{objective={label}}}": 1.0,
         f"dp.runs{{objective={label}}}": 2.0,
-        f"dp.table_cells{{objective={label}}}": 2.0 * 8 * 401,
+        f"dp.table_cells{{objective={label}}}": 2.0 * KEPT[case] * 401,
     }
 
 
@@ -168,7 +195,7 @@ def _infeasible(label: str, span: str, low: float, best: float) -> dict:
         "result": ("InfeasibleConstraintError", low, best),
         "counters": {
             f"dp.infeasible{{objective={label}}}": 2.0,
-            **_memo_counters(label),
+            **_memo_counters(f"{label}-infeasible-dp"),
         },
         "histograms": _dp_histograms(label, span),
         "records": [{"op": "dp.infeasible", "objective": label, "limit": low}],
@@ -184,7 +211,7 @@ def _optimize_expectations(
     return {
         f"{label}-dp": {
             "result": (total_cost, total_time, result),
-            "counters": _memo_counters(label),
+            "counters": _memo_counters(f"{label}-dp"),
             "histograms": _dp_histograms(label, "phase2.optimize"),
             "records": _selected(label, *picks),
         },
@@ -199,7 +226,7 @@ EXPECTED = {
     # b's and c's dearest windows.  vo_budget emits no dp.selected.
     "budget-dp": {
         "result": 42.0,
-        "counters": _memo_counters("budget"),
+        "counters": _memo_counters("budget-dp"),
         "histograms": _dp_histograms("budget", "phase2.vo_budget"),
         "records": [],
     },
