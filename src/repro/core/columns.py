@@ -1,20 +1,16 @@
 """Array-backed column storage for sorted slot rows (ROADMAP item 3).
 
-:class:`ColumnStore` keeps the primitive fields of the ordered
+:class:`ColumnStore` keeps the primitive fields of an ordered
 vacant-slot list — start, end, resource uid, performance, price — in
 parallel ``array('d')`` / ``array('q')`` columns instead of a list of
-python tuples.  Two things fall out of that layout:
-
-* the request-*static* feasibility predicates — minimum performance,
-  ALP's per-slot price cap, and the slot-length test
-  ``end - start >= runtime`` — can be evaluated as one vectorized mask
-  over the raw float buffers (numpy reads the ``array`` memory directly
-  through the buffer protocol, no copies), so a survivor-memo build is
-  a handful of C loops instead of a python-level predicate per row;
-* commits stay cheap: inserting or deleting a row is a small
-  ``memmove`` per column instead of shifting ``PyObject`` pointers, and
-  the sorted-by-``(start, end, uid)`` invariant is maintained by
-  bisection exactly as before.
+python tuples, sorted by ``(start, end, uid)`` once when it is built.
+It is never mutated afterwards: the request-*static* feasibility
+predicates — minimum performance, ALP's per-slot price cap, and the
+slot-length test ``end - start >= runtime`` — are evaluated as one
+vectorized mask over the raw float buffers (numpy reads the ``array``
+memory directly through the buffer protocol, no copies), so a
+survivor-memo build is a handful of C loops instead of a python-level
+predicate per row.
 
 **Bit-exactness.**  The vectorized mask computes ``volume / performance``
 and ``end - start`` as IEEE-754 double operations — elementwise
@@ -35,7 +31,6 @@ The kernels here back the survivor memos of
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable
 
@@ -113,8 +108,9 @@ def static_survivor(
 class ColumnStore:
     """Parallel primitive columns of a sorted slot-row table.
 
-    Rows are kept sorted by ``(start, end, uid)`` — the scan order of
-    every finder.  The store holds no ``Slot`` objects;
+    Rows are sorted by ``(start, end, uid)`` — the scan order of every
+    finder — when the store is built, and never change afterwards.  The
+    store holds no ``Slot`` objects;
     :class:`~repro.core.index.SlotIndex` rebuilds value-equal slots
     from rows and its ``uid → Resource`` map where it needs them.
     """
@@ -123,79 +119,15 @@ class ColumnStore:
 
     def __init__(self, rows: Iterable[Row] = ()) -> None:
         ordered = sorted(rows, key=_row_key)
-        self.starts = array("d", (row[0] for row in ordered))
-        self.ends = array("d", (row[1] for row in ordered))
-        self.uids = array("q", (row[2] for row in ordered))
-        self.perfs = array("d", (row[3] for row in ordered))
-        self.prices = array("d", (row[4] for row in ordered))
-
-    # ------------------------------------------------------------------ #
-    # Row access                                                         #
-    # ------------------------------------------------------------------ #
+        starts, ends, uids, perfs, prices = zip(*ordered) if ordered else ((),) * 5
+        self.starts = array("d", starts)
+        self.ends = array("d", ends)
+        self.uids = array("q", uids)
+        self.perfs = array("d", perfs)
+        self.prices = array("d", prices)
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    def key_at(self, position: int) -> tuple[float, float, int]:
-        """The sort key ``(start, end, uid)`` of the row at ``position``."""
-        return (self.starts[position], self.ends[position], self.uids[position])
-
-    # ------------------------------------------------------------------ #
-    # Ordered mutation                                                   #
-    # ------------------------------------------------------------------ #
-
-    def bisect_key(self, key: tuple[float, float, int]) -> int:
-        """Leftmost position whose ``(start, end, uid)`` is >= ``key``.
-
-        Two stages: a C-level :func:`bisect.bisect_left` on the start
-        column narrows to the first row of ``key``'s start, then a short
-        walk over the (rare) equal-start run refines by ``(end, uid)``.
-        """
-        starts = self.starts
-        start, end, uid = key
-        lo = bisect_left(starts, start)
-        ends, uids = self.ends, self.uids
-        total = len(starts)
-        while lo < total and starts[lo] == start:
-            row_end = ends[lo]
-            if row_end > end or (row_end == end and uids[lo] >= uid):
-                break
-            lo += 1
-        return lo
-
-    def insert_row(self, row: Row) -> int:
-        """Insert ``row`` keeping sort order; returns its position."""
-        position = self.bisect_key((row[0], row[1], row[2]))
-        self.starts.insert(position, row[0])
-        self.ends.insert(position, row[1])
-        self.uids.insert(position, row[2])
-        self.perfs.insert(position, row[3])
-        self.prices.insert(position, row[4])
-        return position
-
-    def replace_row_at(self, position: int, row: Row) -> None:
-        """Overwrite the row at ``position`` in place.
-
-        The caller guarantees the new row keeps the sort invariant at
-        this position — the carve-in-place fast path of
-        :meth:`~repro.core.index.SlotIndex.commit`, which shrinks a
-        slot's end while keeping its start, satisfies it.
-        """
-        self.starts[position] = row[0]
-        self.ends[position] = row[1]
-        self.uids[position] = row[2]
-        self.perfs[position] = row[3]
-        self.prices[position] = row[4]
-
-    def delete_at(self, position: int) -> Row:
-        """Remove and return the row at ``position``."""
-        return (
-            self.starts.pop(position),
-            self.ends.pop(position),
-            self.uids.pop(position),
-            self.perfs.pop(position),
-            self.prices.pop(position),
-        )
 
     # ------------------------------------------------------------------ #
     # Vectorized predicates                                              #

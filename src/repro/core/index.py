@@ -1,28 +1,34 @@
 """Per-search slot index — the fast phase-1 search path.
 
-:class:`SlotIndex` holds the ordered vacant-slot list as parallel
-primitive *columns* (start, end, resource uid, performance, price in
-``array('d')``/``array('q')`` storage — :class:`~repro.core.columns.ColumnStore`),
-so the ALP/AMP forward scans run over local floats instead of chasing
-``Slot → Resource`` attribute chains, and window subtraction locates the
-carved slot by bisection instead of a linear rescan.  The index holds no
-``Slot`` objects at all: it keeps the only ``uid → Resource`` map and
-reconstructs value-equal ``Slot`` objects exactly where one leaves the
-index — a found window's source slots and :meth:`slot_list` — so the
-hot scan and commit paths touch nothing but primitive tuples.  The
-index is built once per alternative search, and :meth:`commit` is its
-only mutation: every committed window only touches the ``O(log m)``
-neighbourhood of its source rows.
+:class:`SlotIndex` keeps two views of the ordered vacant-slot list.
 
-On top of the column layout the index memoizes the request-*static*
-part of the scan predicates: for each ``(volume, min_performance,
-max_price)`` key the surviving rows — with their precomputed runtimes —
-are built once by a vectorized mask over the columns
-(:meth:`ColumnStore.survivors`) and then maintained incrementally
-through ``commit``, so the repeated passes of one alternative search
-only re-apply the cheap dynamic start-hint predicate over the
-pre-filtered survivors (the static predicates are the vectorized
-kernels of :mod:`repro.core.columns`).
+* **Build-time columns.**  The list the index was built from, as
+  parallel primitive columns (start, end, resource uid, performance,
+  price in ``array('d')``/``array('q')`` storage —
+  :class:`~repro.core.columns.ColumnStore`).  They never change after
+  the build and feed only the vectorized first build of each survivor
+  memo.
+* **The live-row map.**  ``(start, end, uid) → price`` for every row
+  that is vacant now.  :meth:`commit` is the index's only mutation: it
+  checks each source slot against the map, swaps the source key for
+  the carved remainders — a few dict operations per allocation — and
+  appends one op per allocation to the commit journal.
+
+The index holds no ``Slot`` objects at all: it keeps the only
+``uid → Resource`` map and reconstructs value-equal ``Slot`` objects
+exactly where one leaves the index — a found window's source slots and
+:meth:`slot_list` — so the hot scan and commit paths touch nothing but
+primitive tuples.  The index is built once per alternative search.
+
+On top of the columns the index memoizes the request-*static* part of
+the scan predicates: for each ``(volume, min_performance, max_price)``
+key the surviving rows — with their precomputed runtimes — are built
+once by a vectorized mask over the build-time columns
+(:meth:`ColumnStore.survivors`) and brought up to date by replaying the
+commit journal from its first op, so the repeated passes of one
+alternative search only re-apply the cheap dynamic start-hint predicate
+over the pre-filtered survivors (the static predicates are the kernels
+of :mod:`repro.core.columns`).
 
 The finders here are drop-in equivalents of :func:`repro.core.alp.find_window`
 and :func:`repro.core.amp.find_window`: they perform the same suitability
@@ -37,8 +43,9 @@ Two assumptions, both guaranteed by the paper's model and checked by the
 test suite, let the index go beyond the reference implementation:
 
 * **No same-resource overlap.**  Vacant slots of one resource never share
-  processor time (``SlotList.check_no_overlap``), so the slot containing
-  an allocated span is unique and can be located by bisection.
+  processor time (``SlotList.check_no_overlap``), so ``(start, end,
+  uid)`` names a row uniquely and the slot containing an allocated span
+  is found by one map lookup.
 * **Monotone window starts.**  :meth:`commit` only removes vacant time,
   so for a fixed request the earliest feasible window start never moves
   backwards across the passes of one alternative search.  The optional
@@ -103,12 +110,6 @@ def _carve_slot(resource: Resource, start: float, end: float, price: float) -> S
 #: skips it saves.
 _COMPACT_MIN_DEAD = 32
 
-#: A memo more than this many journal ops behind is rebuilt vectorized
-#: instead of replayed: a numpy mask over all rows costs about as much
-#: as replaying a few dozen ops at python level, and rebuilding also
-#: resets the entry list's insertion churn.
-_REPLAY_MAX = 24
-
 #: One committed allocation: the ``(start, end, uid)`` key of the
 #: removed source row, its performance and price — so replay can decide
 #: by the static predicates alone whether a memo could even contain the
@@ -122,25 +123,27 @@ class _Memo:
     """One survivor memo plus its compaction floor and journal cursor.
 
     ``entries`` are the static-predicate survivors in scan order.
-    Finds drop entries that fell behind the monotone start hint
-    (``end <= hint`` — the tier-1 prune); ``floor`` records the largest
-    hint whose dead entries were removed.  A later scan with a smaller
-    hint (a second job sharing the request key) would need those
-    entries back, so it rebuilds from the columns.
+    They are built from the build-time columns at the first scan's
+    hint, which becomes ``floor``: rows with ``end <= floor`` are left
+    out because they are tier-1 dead (``end <= hint``) for that scan and,
+    by hint monotonicity, for every later one.  Finds drop further
+    entries that fell behind the hint and raise ``floor`` to match.  A
+    later scan with a smaller hint (a second job sharing the request
+    key) would need those entries back, so it rebuilds the memo.
 
     ``synced`` is the index into the owning :class:`SlotIndex`'s
-    commit journal up to which this memo is current.  Commits do not
-    touch memos eagerly — each memo replays its pending journal tail on
-    next access — so memos of requests that finished searching cost
-    nothing while other requests commit.
+    commit journal up to which this memo is current; a build starts at
+    op 0.  Commits do not touch memos eagerly — each memo replays its
+    pending journal tail on next access — so memos of requests that
+    finished searching cost nothing while other requests commit.
     """
 
     __slots__ = ("entries", "floor", "synced")
 
-    def __init__(self, entries: list[SurvivorRow], synced: int) -> None:
+    def __init__(self, entries: list[SurvivorRow], floor: float) -> None:
         self.entries = entries
-        self.floor = NEG_INF
-        self.synced = synced
+        self.floor = floor
+        self.synced = 0
 
 
 class SlotIndex:
@@ -165,7 +168,7 @@ class SlotIndex:
     """
 
     __slots__ = (
-        "_columns", "_resources", "_memos", "_ops",
+        "_columns", "_live", "_resources", "_memos", "_ops",
         "last_scanned", "last_hint_skips", "last_runtime_skips",
     )
 
@@ -175,15 +178,21 @@ class SlotIndex:
         self._resources: dict[int, Resource] = {
             slot.resource.uid: slot.resource for slot in materialized
         }
-        self._columns = ColumnStore(
+        # The list as built; never mutated, read by memo builds only.
+        columns = self._columns = ColumnStore(
             (slot.start, slot.end, slot.resource.uid, slot.resource.performance, slot.price)
             for slot in materialized
         )
+        # (start, end, uid) → price of every row vacant now; the state
+        # commit checks and updates.  Zipped from the columns at C level.
+        self._live: dict[tuple[float, float, int], float] = dict(
+            zip(zip(columns.starts, columns.ends, columns.uids), columns.prices)
+        )
         # (volume, min_performance, max_price) → rows surviving the
-        # static predicates, in scan order.  Built vectorized on first
-        # use, then kept current lazily: each commit appends one op per
-        # allocation to the journal and a memo replays its pending tail
-        # on next access (or rebuilds if far behind); the dynamic
+        # static predicates, in scan order.  Built vectorized from the
+        # columns on first use, then kept current lazily: each commit
+        # appends one op per allocation to the journal and a memo
+        # replays its pending tail on next access; the dynamic
         # start-hint predicate is applied per scan.
         self._memos: dict[tuple[float, float, float | None], _Memo] = {}
         self._ops: list[_IndexOp] = []
@@ -196,26 +205,24 @@ class SlotIndex:
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._columns)
+        return len(self._live)
 
     def __iter__(self) -> Iterator[Slot]:
         return iter(self._materialize())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SlotIndex({len(self._columns)} slots)"
+        return f"SlotIndex({len(self._live)} slots)"
 
     def _slot_of(self, entry: "SurvivorRow | Row") -> Slot:
         """Value-equal :class:`Slot` for one row/survivor tuple."""
         return _carve_slot(self._resources[entry[2]], entry[0], entry[1], entry[4])
 
     def _materialize(self) -> list[Slot]:
+        """The live rows as slots, in ``(start, end, uid)`` order."""
         resources = self._resources
-        columns = self._columns
         return [
             _carve_slot(resources[uid], start, end, price)
-            for start, end, uid, price in zip(
-                columns.starts, columns.ends, columns.uids, columns.prices
-            )
+            for (start, end, uid), price in sorted(self._live.items())
         ]
 
     def slot_list(self) -> SlotList:
@@ -239,41 +246,29 @@ class SlotIndex:
     ) -> _Memo:
         """The static-predicate survivor memo for one request key.
 
-        ``hint`` is the caller's start hint; a memo compacted past it is
-        rebuilt vectorized from the columns so that every entry a scan
-        at ``hint`` may need is present.  A memo
-        that fell more than :data:`_REPLAY_MAX` journal ops behind is
-        likewise rebuilt; otherwise the pending ops are replayed against
-        it, producing exactly the entry set eager maintenance would have
-        (same scalar kernel, same insertion order).
+        ``hint`` is the caller's start hint.  A new memo, or one
+        compacted past ``hint``, is built vectorized from the build-time
+        columns with ``hint`` as its floor and then replays the whole
+        journal.  Replaying the pending ops produces exactly the entry
+        set eager maintenance would have (same scalar kernel, same
+        insertion order), less the replacement rows that are already
+        dead at the floor.
         """
         key = (volume, min_performance, max_price)
         memo = self._memos.get(key)
+        if memo is None or hint < memo.floor:
+            # Rows with ``end <= hint`` are tier-1 dead for this and (by
+            # hint monotonicity) every future scan of this memo, so the
+            # mask drops them and ``hint`` becomes the floor.
+            memo = self._memos[key] = _Memo(
+                self._columns.survivors(volume, min_performance, max_price, hint),
+                hint,
+            )
         ops = self._ops
         total_ops = len(ops)
-        if (
-            memo is None
-            or hint < memo.floor
-            or total_ops - memo.synced > _REPLAY_MAX
-        ):
-            # Rebuild already filtered to the scan's hint: entries with
-            # ``end <= hint`` are tier-1 dead for this and (by hint
-            # monotonicity) every future scan of this memo, so they are
-            # dropped vectorized and ``hint`` becomes the floor — the
-            # same state compaction would eventually reach, minus the
-            # churn of re-attaching and re-skipping them.
-            entries = self._columns.survivors(
-                volume, min_performance, max_price, hint
-            )
-            if memo is None:
-                memo = _Memo(entries, total_ops)
-                self._memos[key] = memo
-            else:
-                memo.entries = entries
-                memo.synced = total_ops
-            memo.floor = hint
-        elif memo.synced != total_ops:
+        if memo.synced != total_ops:
             entries = memo.entries
+            floor = memo.floor
             for op_key, op_performance, op_price, replacements in ops[memo.synced:]:
                 # Probes and insertions compare the entry tuples
                 # directly — the leading (start, end, uid) triple is
@@ -297,16 +292,15 @@ class SlotIndex:
                             and entry[2] == op_key[2]
                         ):
                             del entries[position]
-                for row in replacements:
-                    # Inlined scalar static_survivor kernel (same float
-                    # ops, same order as the vectorized mask).
-                    performance = row[3]
-                    if performance < min_performance:
+                for start, end, uid, performance, price in replacements:
+                    # The build mask's floor test, then the inlined
+                    # scalar static_survivor kernel (same float ops,
+                    # same order as the vectorized mask).
+                    if end <= floor or performance < min_performance:
                         continue
-                    if max_price is not None and row[4] > max_price:
+                    if max_price is not None and price > max_price:
                         continue
                     runtime = volume / performance
-                    start, end = row[0], row[1]
                     if end - start < runtime:
                         continue
                     insort(
@@ -314,9 +308,9 @@ class SlotIndex:
                         (
                             start,
                             end,
-                            row[2],
+                            uid,
                             performance,
-                            row[4],
+                            price,
                             runtime,
                             expiry_bound(end, runtime),
                         ),
@@ -532,70 +526,44 @@ class SlotIndex:
     def commit(self, window: Window) -> None:
         """Subtract the window's occupied spans (paper Fig. 1 (b)).
 
-        Each allocation remembers the vacant slot it was carved from, so
-        the containing row is located by bisection rather than the
-        linear rescan of :meth:`SlotList.subtract`.  The source slot is
-        matched by value — ``(start, end, uid)`` key plus price.
+        Each allocation remembers the vacant slot it was carved from,
+        matched by value — ``(start, end, uid)`` key plus price —
+        against the live-row map instead of the linear rescan of
+        :meth:`SlotList.subtract`.  The source key is swapped for its
+        carved remainders in the map and one op is appended to the
+        journal the memos replay; the build-time columns are not
+        touched.
 
         Raises:
             SlotListError: If some source slot is no longer in the index.
         """
-        columns = self._columns
+        live = self._live
+        ops = self._ops
         for allocation in window.allocations:
             source = allocation.source
             resource = source.resource
             uid = resource.uid
+            price = source.price
             key = (source.start, source.end, uid)
-            position = columns.bisect_key(key)
-            if (
-                position == len(columns)
-                or columns.key_at(position) != key
-                or columns.prices[position] != source.price
-            ):
+            if live.get(key) != price:
                 raise SlotListError(
                     f"no vacant slot on {resource.name!r} contains span "
                     f"[{allocation.start:g}, {allocation.end:g})"
                 )
+            del live[key]
+            performance = resource.performance
             replacements: list[Row] = []
-            left = allocation.start > source.start
-            if left and (position == 0 or columns.starts[position - 1] < source.start):
-                # The left remainder keeps the source's start and shrinks
-                # its end, so (outside an equal-start run, where bisection
-                # would be needed) it sorts at the very position the
-                # source occupied: overwrite in place instead of paying
-                # two O(m) memmoves per column plus a bisect.
-                row: Row = (
-                    source.start,
-                    allocation.start,
-                    uid,
-                    resource.performance,
-                    source.price,
+            if allocation.start > source.start:
+                live[source.start, allocation.start, uid] = price
+                replacements.append(
+                    (source.start, allocation.start, uid, performance, price)
                 )
-                columns.replace_row_at(position, row)
-                replacements.append(row)
-            else:
-                columns.delete_at(position)
-                if left:
-                    row = (
-                        source.start,
-                        allocation.start,
-                        uid,
-                        resource.performance,
-                        source.price,
-                    )
-                    columns.insert_row(row)
-                    replacements.append(row)
             if source.end > allocation.end:
-                row = (
-                    allocation.end,
-                    source.end,
-                    uid,
-                    resource.performance,
-                    source.price,
+                live[allocation.end, source.end, uid] = price
+                replacements.append(
+                    (allocation.end, source.end, uid, performance, price)
                 )
-                columns.insert_row(row)
-                replacements.append(row)
-            self._ops.append((key, resource.performance, source.price, replacements))
+            ops.append((key, performance, price, replacements))
 
 
 def _remove_ranked(

@@ -36,8 +36,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    Batch,
     Criterion,
     Job,
+    Resource,
     ResourceRequest,
     Slot,
     SlotIndex,
@@ -50,6 +52,7 @@ from repro.core import (
     vo_budget,
 )
 from repro.core import alp, amp
+from repro.core.columns import ColumnStore
 from repro.grid import ClusterSpec, LocalJobFlow, RecoveryManager, VOEnvironment
 from repro.sim import ExperimentConfig, ParallelRunner
 from repro.sim.experiment import _run_indices, _shard_spans, generate_iteration
@@ -290,6 +293,83 @@ def test_indexed_single_find_matches_reference_finders():
         assert (reference is None) == (fast is None), f"AMP feasibility, seed={seed}"
         if reference is not None:
             assert _window_fingerprint(fast) == _window_fingerprint(reference)
+
+
+def _fragmented_slot_list(seed: int, nodes: int = 12, per_node: int = 20) -> SlotList:
+    """Many short vacant slots per node, so start hints strand dozens of
+    survivor-memo entries and the finders compact their memos."""
+    rng = random.Random(seed)
+    slots = []
+    for i in range(nodes):
+        node = Resource(
+            f"n{i}", performance=rng.uniform(1.0, 3.0), price=rng.uniform(1.0, 6.0)
+        )
+        start = rng.uniform(0.0, 20.0)
+        for _ in range(per_node):
+            length = rng.uniform(20.0, 90.0)
+            slots.append(Slot(node, start, start + length))
+            start += length + rng.uniform(1.0, 15.0)
+    return SlotList(slots)
+
+
+def _shared_key_batch(seed: int) -> Batch:
+    """Jobs sharing ``(volume, min_performance, max_price)`` — and hence
+    one survivor memo — but asking for different node counts, so their
+    start hints advance at different rates."""
+    rng = random.Random(seed ^ 0x5A4ED)
+    volume = rng.uniform(10.0, 100.0)
+    min_performance = rng.uniform(1.0, 2.0)
+    max_price = rng.uniform(3.0, 8.0)
+    node_counts = rng.sample(range(1, 7), rng.randint(2, 4))
+    return Batch(
+        [
+            Job(
+                ResourceRequest(
+                    node_count=node_count,
+                    volume=volume,
+                    min_performance=min_performance,
+                    max_price=max_price,
+                ),
+                name=f"j{i}",
+            )
+            for i, node_count in enumerate(node_counts)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
+)
+def test_shared_request_key_matches_reference(algorithm, monkeypatch):
+    """Jobs sharing a survivor memo scan it at unordered start hints.
+
+    A scan whose hint is below the memo's compaction floor rebuilds the
+    memo from the build-time columns and replays the whole commit
+    journal; the indexed search must still equal the reference, and
+    that rebuild must actually run.
+    """
+    built: set[tuple[int, float, float, float | None]] = set()
+    rebuilds = 0
+    survivors = ColumnStore.survivors
+
+    def counting(self, volume, min_performance, max_price, min_end=float("-inf")):
+        nonlocal rebuilds
+        key = (id(self), volume, min_performance, max_price)
+        rebuilds += key in built
+        built.add(key)
+        return survivors(self, volume, min_performance, max_price, min_end)
+
+    monkeypatch.setattr(ColumnStore, "survivors", counting)
+    for seed in range(20):
+        slots = _fragmented_slot_list(seed)
+        batch = _shared_key_batch(seed)
+        naive = find_alternatives(slots, batch, algorithm, use_index=False)
+        built.clear()
+        indexed = find_alternatives(slots, batch, algorithm)
+        assert _search_fingerprint(indexed) == _search_fingerprint(naive), (
+            f"divergence on seed={seed} algorithm={algorithm.value}"
+        )
+    assert rebuilds > 0, "no scan ran below its memo's floor"
 
 
 # --------------------------------------------------------------------- #

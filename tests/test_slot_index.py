@@ -10,7 +10,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ResourceRequest, SlotIndex, SlotList, SlotListError
+from repro.core import (
+    ResourceRequest,
+    Slot,
+    SlotIndex,
+    SlotList,
+    SlotListError,
+    TaskAllocation,
+    Window,
+)
 from repro.core import alp
 
 from tests.conftest import (
@@ -58,6 +66,49 @@ class TestCommit:
         index.commit(window)
         with pytest.raises(SlotListError):
             index.commit(window)  # source slot no longer in the index
+
+    def test_commit_leaves_build_time_columns_unchanged(self):
+        index = SlotIndex(make_random_slot_list(5, count=30))
+        columns = index._columns
+
+        def rows():
+            return list(
+                zip(columns.starts, columns.ends, columns.uids, columns.perfs, columns.prices)
+            )
+
+        built = rows()
+        request = ResourceRequest(node_count=2, volume=60.0, max_price=5.0)
+        commits = 0
+        while (window := index.find_alp_window(request)) is not None:
+            index.commit(window)
+            commits += 1
+        assert commits > 1
+        assert rows() == built
+        assert len(index) != len(columns)
+
+    def test_commit_source_with_other_price_raises(self):
+        slots = make_uniform_slots(1, start=0.0, length=100.0)
+        index = SlotIndex(slots)
+        window = index.find_alp_window(
+            ResourceRequest(node_count=1, volume=40.0, max_price=2.0)
+        )
+        (allocation,) = window.allocations
+        source = allocation.source
+        # Same (start, end, uid) key as the vacant row, another price.
+        repriced = Window(
+            window.request,
+            [
+                TaskAllocation(
+                    Slot(source.resource, source.start, source.end, source.price + 1.0),
+                    allocation.start,
+                    allocation.end,
+                )
+            ],
+        )
+        with pytest.raises(SlotListError):
+            index.commit(repriced)
+        index.commit(window)
+        assert [(s.start, s.end) for s in index] == [(40.0, 100.0)]
 
     def test_find_matches_reference_after_commits(self):
         """After incremental mutations, the index still agrees with a
