@@ -85,7 +85,8 @@ class SearchResult:
         alternatives: For every job of the batch, its alternative windows
             in discovery order (possibly empty).
         remaining_slots: The vacant-slot list after all subtractions.
-            The indexed loop hands over its :class:`SlotIndex`, and the
+            The indexed loop hands over its :class:`SlotIndex` (a copy of
+            the input for an empty batch, which builds no index), and the
             list is materialised from it on first access only: the
             scheduling cycle itself never reads it.
         passes: Number of complete passes over the batch, including the
@@ -278,7 +279,8 @@ def _find_alternatives_indexed(
     incremental, and per-job ``start_hint`` values exploit the
     monotonicity of window starts across passes (slot subtraction only
     removes vacant time, so a job's next window can never start before
-    its previous one).
+    its previous one).  For the same reason a job whose find comes back
+    empty is not searched again, and an empty batch builds no index.
 
     Telemetry attaches as observers behind ``enabled`` checks, none of
     which feeds back into the search: the phase-1 span, the scan and
@@ -302,22 +304,36 @@ def _find_alternatives_indexed(
     with telemetry.span(
         "phase1.find_alternatives", algo=algo_label, jobs=len(batch), indexed=True
     ):
-        index = SlotIndex(slot_list)
+        remaining: SlotList | SlotIndex
+        if batch:
+            index = remaining = SlotIndex(slot_list)
+        else:
+            # One pass over no job ends the search and never reads
+            # ``index``: build none, and hand over a plain copy.
+            remaining = slot_list.copy()
         is_amp = algorithm is SlotSearchAlgorithm.AMP
         budgets = (
             {job: job.request.scaled_budget(rho) for job in batch} if is_amp else {}
         )
         hints: dict[Job, float] = {job: NEG_INF for job in batch}
         alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
-        # ALP-only: once a job's search comes back empty it stays empty for
-        # the rest of this batch search — later passes only *subtract*
-        # vacant time, and an ALP window over fragments maps
-        # candidate-for-candidate onto the containing rows of any earlier
-        # state, so a window appearing later would have been found now.
-        # AMP is excluded: its budget test fires only at row-start events
-        # >= the hint, and subtraction mints new row starts (fragment
-        # boundaries), so an AMP failure is not stable under further
-        # subtraction.
+        # A job whose find comes back empty is retired for the rest of
+        # this batch search, under either algorithm, because later passes
+        # only *subtract* vacant time.  Write C(t) for the candidates at
+        # time t: rows with start <= t and end - t >= runtime.  A fragment
+        # covers [t, t + runtime) only if its source row does, and it
+        # keeps the source's uid, price and runtime, hence its cost.  Two
+        # fragments of one row never overlap in time, so fragment ->
+        # source is injective on C(t).  After a subtraction, then, every
+        # C(t) holds no more candidates than before, which settles ALP's
+        # count test, and each of its N cheapest costs is >= what it was;
+        # IEEE + is monotone, so AMP's cheapest N-sum is >= too.  The
+        # failed scan covered every event t >= hint; a non-event time has
+        # a subset of the candidates of the latest event before it, and
+        # times below the hint are infeasible by the start-hint
+        # invariant.  So the new row starts that subtraction mints never
+        # let a later find succeed (docs/model.md, "An empty find is
+        # final").
         exhausted: set[Job] = set()
         passes = 0
         while True:
@@ -349,8 +365,7 @@ def _find_alternatives_indexed(
                     hint_skips += index.last_hint_skips
                     runtime_skips += index.last_runtime_skips
                 if found is None:
-                    if not is_amp:
-                        exhausted.add(job)
+                    exhausted.add(job)
                     if record_decisions:
                         decisions.emit(
                             "index.no_window",
@@ -386,7 +401,7 @@ def _find_alternatives_indexed(
             if not found_any:
                 break
         result = SearchResult(
-            alternatives=alternatives, remaining_slots=index, passes=passes
+            alternatives=alternatives, remaining_slots=remaining, passes=passes
         )
         if enabled:
             _flush_batch_metrics(telemetry, result, algo_label)

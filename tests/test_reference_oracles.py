@@ -54,6 +54,7 @@ from repro.core import (
 from repro.core import alp, amp
 from repro.core.columns import ColumnStore
 from repro.grid import ClusterSpec, LocalJobFlow, RecoveryManager, VOEnvironment
+from repro.obs.telemetry import configure, get_telemetry, install
 from repro.sim import ExperimentConfig, ParallelRunner
 from repro.sim.experiment import _run_indices, _shard_spans, generate_iteration
 
@@ -370,6 +371,112 @@ def test_shared_request_key_matches_reference(algorithm, monkeypatch):
             f"divergence on seed={seed} algorithm={algorithm.value}"
         )
     assert rebuilds > 0, "no scan ran below its memo's floor"
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3], ids=["uncapped", "cap1", "cap3"])
+@pytest.mark.parametrize("rho", [1.0, 0.8, 0.5, 0.3])
+def test_empty_amp_find_is_final(rho, cap, monkeypatch):
+    """An AMP job whose find comes back empty is never searched again.
+
+    Subtraction mints new row starts, but it never adds a candidate at
+    any time or lowers a candidate's cost, so a failed find stays failed
+    for the rest of the search.  The search must equal the reference
+    with each job's empty find made at most once, and some of those
+    empty finds must fail on the budget alone (they succeed with an
+    unbounded one), not only on too few concurrent rows.
+    """
+    empties: list[tuple[ResourceRequest, bool]] = []
+    find = SlotIndex.find_amp_window_at
+
+    def spy(self, request, *, budget=None, start_hint=float("-inf")):
+        found = find(self, request, budget=budget, start_hint=start_hint)
+        if found is None:
+            unbounded = find(
+                SlotIndex(self.slot_list()),
+                request,
+                budget=float("inf"),
+                start_hint=start_hint,
+            )
+            empties.append((request, unbounded is not None))
+        return found
+
+    monkeypatch.setattr(SlotIndex, "find_amp_window_at", spy)
+    budget_limited = 0
+    for seed in range(30):
+        slots = _fragmented_slot_list(seed, nodes=8, per_node=12)
+        batch = make_random_batch(seed)
+        options = dict(rho=rho, max_alternatives_per_job=cap)
+        naive = find_alternatives(
+            slots, batch, SlotSearchAlgorithm.AMP, use_index=False, **options
+        )
+        empties.clear()
+        indexed = find_alternatives(slots, batch, SlotSearchAlgorithm.AMP, **options)
+        assert _search_fingerprint(indexed) == _search_fingerprint(naive), (
+            f"divergence on seed={seed} rho={rho} cap={cap}"
+        )
+        requests = [id(request) for request, _ in empties]
+        assert len(requests) == len(set(requests)), f"re-searched on seed={seed}"
+        budget_limited += sum(limited for _, limited in empties)
+    assert budget_limited > 0, "no empty find was limited by the budget"
+
+
+#: Telemetry of one empty-batch search, as the loop recorded it when it
+#: still built an index: kind, metric key (``{algo}`` filled in), value
+#: for counters, observation count for histograms.
+_EMPTY_BATCH_TELEMETRY = {
+    ("counter", "search.batches{algo={algo}}"): 1,
+    ("counter", "search.passes{algo={algo}}"): 1,
+    ("counter", "search.windows_collected{algo={algo}}"): 0,
+    ("counter", "search.jobs_uncovered{algo={algo}}"): 0,
+    ("counter", "search.slots_scanned{algo={algo}}"): 0,
+    ("counter", "search.windows_found{algo={algo}}"): 0,
+    ("counter", "search.windows_missed{algo={algo}}"): 0,
+    ("counter", "search.hint_skips{algo={algo}}"): 0,
+    ("counter", "search.hint_runtime_skips{algo={algo}}"): 0,
+    ("histogram", "search.scan_depth{algo={algo}}"): 0,
+    ("histogram", "phase.seconds{phase=phase1.scan}"): 1,
+    ("histogram", "phase.seconds{phase=phase1.subtract}"): 1,
+    ("histogram", "span.seconds{span=phase1.find_alternatives}"): 1,
+}
+
+
+@pytest.mark.parametrize(
+    "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
+)
+def test_empty_batch_builds_no_index(algorithm, monkeypatch):
+    """An empty batch ends after one pass over nothing: it builds no
+    index, returns what the reference returns, and leaves the same
+    telemetry it did when it built one."""
+    slots = make_random_slot_list(3)
+    naive = find_alternatives(slots, Batch(), algorithm, use_index=False)
+    builds = 0
+    build = SlotIndex.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(SlotIndex, "__init__", counting)
+    previous = get_telemetry()
+    configure()
+    try:
+        indexed = find_alternatives(slots, Batch(), algorithm)
+        snapshot = get_telemetry().registry.snapshot()
+    finally:
+        install(previous)
+    assert builds == 0
+    assert _search_fingerprint(indexed) == _search_fingerprint(naive)
+    assert indexed.remaining_slots is not slots
+    recorded = {
+        (entry["kind"], entry["name"]): entry.get("value", entry.get("count"))
+        for entry in snapshot
+    }
+    expected = {
+        (kind, name.replace("{algo}", algorithm.value)): value
+        for (kind, name), value in _EMPTY_BATCH_TELEMETRY.items()
+    }
+    assert recorded == expected
 
 
 # --------------------------------------------------------------------- #
