@@ -83,14 +83,17 @@ class SearchResult:
 
     Attributes:
         alternatives: For every job of the batch, its alternative windows
-            in discovery order (possibly empty).
+            in discovery order (possibly empty).  A search stopped by
+            ``stop_if_uncovered`` holds only the jobs it searched: the
+            batch prefix ending at the first job left without a window.
         remaining_slots: The vacant-slot list after all subtractions.
             The indexed loop hands over its :class:`SlotIndex` (a copy of
             the input for an empty batch, which builds no index), and the
             list is materialised from it on first access only: the
             scheduling cycle itself never reads it.
         passes: Number of complete passes over the batch, including the
-            final empty pass that stopped the search.
+            final empty pass that stopped the search (1 for a search
+            stopped by ``stop_if_uncovered``).
     """
 
     __slots__ = ("alternatives", "passes", "_remaining")
@@ -149,6 +152,7 @@ def find_alternatives(
     rho: float = 1.0,
     max_alternatives_per_job: int | None = None,
     use_index: bool = True,
+    stop_if_uncovered: bool = False,
 ) -> SearchResult:
     """Find alternative windows for every job of ``batch``.
 
@@ -168,13 +172,29 @@ def find_alternatives(
             instead — bit-for-bit the same windows, at ``O(m)`` per
             find.  Custom finder callables always run on the naive
             loop.  Enabled telemetry never changes the path.
+        stop_if_uncovered: End the search at the first empty find of a
+            job that has no window yet, for callers that only use a
+            batch every job of which is covered (the Section 5
+            filter).  An empty ALP/AMP find is final (docs/model.md), so
+            that job stays uncovered whatever the rest of the search
+            does; the stop can only happen in pass 1.  The result then
+            holds the searched prefix of the batch, ``passes == 1`` and
+            ``all_jobs_covered()`` is False; a covered batch gets the
+            full search.  ALP and AMP only: the argument does not hold
+            for an arbitrary finder.
     """
     if max_alternatives_per_job is not None and max_alternatives_per_job < 1:
         raise InvalidRequestError(
             f"max_alternatives_per_job must be >= 1, got {max_alternatives_per_job!r}"
         )
+    is_builtin = isinstance(algorithm, SlotSearchAlgorithm)
+    if stop_if_uncovered and not is_builtin:
+        raise InvalidRequestError(
+            "stop_if_uncovered needs SlotSearchAlgorithm.ALP or .AMP, "
+            "not a custom WindowFinder"
+        )
     telemetry = get_telemetry()
-    if isinstance(algorithm, SlotSearchAlgorithm):
+    if is_builtin:
         if use_index:
             return _find_alternatives_indexed(
                 telemetry,
@@ -183,6 +203,7 @@ def find_alternatives(
                 algorithm,
                 rho=rho,
                 max_alternatives_per_job=max_alternatives_per_job,
+                stop_if_uncovered=stop_if_uncovered,
             )
         finder, algo_label = algorithm.finder(rho=rho), algorithm.value
     else:
@@ -194,16 +215,31 @@ def find_alternatives(
         finder,
         algo_label,
         max_alternatives_per_job=max_alternatives_per_job,
+        stop_if_uncovered=stop_if_uncovered,
     )
 
 
+def _searched_prefix(
+    alternatives: dict[Job, list[Window]], last: Job
+) -> dict[Job, list[Window]]:
+    """The jobs a stopped search reached: the batch up to ``last``."""
+    prefix: dict[Job, list[Window]] = {}
+    for job, windows in alternatives.items():
+        prefix[job] = windows
+        if job == last:
+            break
+    return prefix
+
+
 def _flush_batch_metrics(
-    telemetry: Telemetry, result: SearchResult, algo_label: str
+    telemetry: Telemetry, result: SearchResult, algo_label: str, stopped: bool
 ) -> None:
     """Batch-level search counters shared by both loops."""
     if not telemetry.enabled:
         return
     telemetry.count("search.batches", 1, algo=algo_label)
+    if stopped:
+        telemetry.count("search.stopped_uncovered", 1, algo=algo_label)
     telemetry.count("search.passes", result.passes, algo=algo_label)
     telemetry.count(
         "search.windows_collected", result.total_alternatives, algo=algo_label
@@ -225,6 +261,7 @@ def _find_alternatives_naive(
     algo_label: str,
     *,
     max_alternatives_per_job: int | None,
+    stop_if_uncovered: bool,
 ) -> SearchResult:
     """The reference multi-pass loop: the executable specification.
 
@@ -236,8 +273,9 @@ def _find_alternatives_naive(
     with telemetry.span("phase1.find_alternatives", algo=algo_label, jobs=len(batch)):
         working = slot_list.copy()
         alternatives: dict[Job, list[Window]] = {job: [] for job in batch}
+        stopped = False
         passes = 0
-        while True:
+        while not stopped:
             passes += 1
             found_any = False
             for job in batch:
@@ -249,6 +287,10 @@ def _find_alternatives_naive(
                     continue
                 window = finder(working, job.request)
                 if window is None:
+                    if stop_if_uncovered and not windows:
+                        stopped = True
+                        alternatives = _searched_prefix(alternatives, job)
+                        break
                     continue
                 for resource, start, end in window.occupied_spans():
                     working.subtract(resource, start, end)
@@ -259,7 +301,7 @@ def _find_alternatives_naive(
         result = SearchResult(
             alternatives=alternatives, remaining_slots=working, passes=passes
         )
-        _flush_batch_metrics(telemetry, result, algo_label)
+        _flush_batch_metrics(telemetry, result, algo_label, stopped)
     return result
 
 
@@ -271,6 +313,7 @@ def _find_alternatives_indexed(
     *,
     rho: float,
     max_alternatives_per_job: int | None,
+    stop_if_uncovered: bool,
 ) -> SearchResult:
     """The multi-pass scheme over a shared :class:`SlotIndex`.
 
@@ -280,7 +323,8 @@ def _find_alternatives_indexed(
     monotonicity of window starts across passes (slot subtraction only
     removes vacant time, so a job's next window can never start before
     its previous one).  For the same reason a job whose find comes back
-    empty is not searched again, and an empty batch builds no index.
+    empty is not searched again; with ``stop_if_uncovered``, one that has
+    no window yet ends the search.  An empty batch builds no index.
 
     Telemetry attaches as observers behind ``enabled`` checks, none of
     which feeds back into the search: the phase-1 span, the scan and
@@ -335,8 +379,9 @@ def _find_alternatives_indexed(
         # let a later find succeed (docs/model.md, "An empty find is
         # final").
         exhausted: set[Job] = set()
+        stopped = False
         passes = 0
-        while True:
+        while not stopped:
             passes += 1
             found_any = False
             for job in batch:
@@ -375,6 +420,10 @@ def _find_alternatives_indexed(
                             hint_skips=index.last_hint_skips,
                             hint_runtime_skips=index.last_runtime_skips,
                         )
+                    if stop_if_uncovered and not windows:
+                        stopped = True
+                        alternatives = _searched_prefix(alternatives, job)
+                        break
                     continue
                 window, event_time = found
                 if enabled:
@@ -404,12 +453,12 @@ def _find_alternatives_indexed(
             alternatives=alternatives, remaining_slots=remaining, passes=passes
         )
         if enabled:
-            _flush_batch_metrics(telemetry, result, algo_label)
-            found_count = result.total_alternatives
+            _flush_batch_metrics(telemetry, result, algo_label, stopped)
             telemetry.count("search.slots_scanned", sum(depths), algo=algo_label)
-            telemetry.count("search.windows_found", found_count, algo=algo_label)
             telemetry.count(
-                "search.windows_missed", len(depths) - found_count, algo=algo_label
+                "search.windows_missed",
+                len(depths) - result.total_alternatives,
+                algo=algo_label,
             )
             depth_histogram = telemetry.registry.histogram(
                 "search.scan_depth", algo=algo_label

@@ -5,7 +5,7 @@ DP → VO metascheduler) is instrumented with three primitives:
 
 * **metrics** (:mod:`repro.obs.metrics`) — counters, gauges, and
   histograms in a process-local registry, e.g.
-  ``search.slots_scanned``, ``search.windows_found{algo=amp}``,
+  ``search.slots_scanned``, ``search.windows_collected{algo=amp}``,
   ``dp.table_cells``, ``meta.postponements``;
 * **spans** (:mod:`repro.obs.spans`) — nested wall-clock timings forming
   a trace tree per scheduling operation

@@ -10,7 +10,7 @@ measurable") needs exactly three instrument kinds:
   e.g. ``search.alternatives_per_job`` or span durations.
 
 Instruments live in a :class:`MetricRegistry`, keyed by metric name plus
-an optional label set (``search.windows_found{algo=amp}``).  The module
+an optional label set (``search.windows_collected{algo=amp}``).  The module
 is dependency-free (standard library only) so the hot algorithm modules
 can import it without any risk of circular imports, and instrument
 updates are plain attribute arithmetic — no locks, no allocation beyond

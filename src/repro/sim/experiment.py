@@ -195,9 +195,13 @@ def run_pipeline(
     """Run phase 1 + phase 2 for one algorithm; ``None`` when dropped.
 
     Dropping happens when some job gets no alternative or the derived
-    constraint is infeasible — exactly the paper's filtering rule.
+    constraint is infeasible — exactly the paper's filtering rule.  An
+    uncovered batch is dropped whatever else phase 1 finds, so the
+    search stops at its first uncovered job.
     """
-    search = find_alternatives(slots, batch, algorithm, rho=rho)
+    search = find_alternatives(
+        slots, batch, algorithm, rho=rho, stop_if_uncovered=True
+    )
     if not search.all_jobs_covered():
         return None
     return _optimize_search(search, objective, resolution)
@@ -260,8 +264,12 @@ def run_iteration(
     """
     outcomes = {}
     uncovered = False
+    # An uncovered batch is dropped, so each search may stop at its
+    # first uncovered job (``stop_if_uncovered``).
     for algorithm in (SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP):
-        search = find_alternatives(slots, batch, algorithm, rho=config.rho)
+        search = find_alternatives(
+            slots, batch, algorithm, rho=config.rho, stop_if_uncovered=True
+        )
         if not search.all_jobs_covered():
             uncovered = True
             break

@@ -201,8 +201,9 @@ class TestTelemetryOptions:
         assert "telemetry summary" in out
         assert "search.slots_scanned{algo=alp}" in out
         assert "search.slots_scanned{algo=amp}" in out
-        assert "search.windows_found{algo=alp}" in out
-        assert "search.windows_found{algo=amp}" in out
+        assert "search.windows_collected{algo=alp}" in out
+        assert "search.windows_collected{algo=amp}" in out
+        assert "search.windows_found" not in out
         assert "dp.table_cells" in out
 
     def test_trace_writes_parseable_jsonl(self, capsys, tmp_path):

@@ -65,6 +65,41 @@ class TestRunPipeline:
             return
         pytest.fail("no feasible iteration in 10 draws (generator regression?)")
 
+    @pytest.mark.parametrize("objective", [Criterion.TIME, Criterion.COST], ids=["time", "cost"])
+    def test_stop_if_uncovered_leaves_pipeline_unchanged(self, objective, monkeypatch):
+        """``run_pipeline`` returns what a full phase-1 search gives."""
+        config = ExperimentConfig(iterations=12, seed=20110368)
+        inputs = [generate_iteration(config, index) for index in range(config.iterations)]
+
+        def run_all():
+            return [
+                run_pipeline(slots, batch, algorithm, objective, resolution=400)
+                for slots, batch in inputs
+                for algorithm in SlotSearchAlgorithm
+            ]
+
+        def summary(outcome):
+            if outcome is None:
+                return None
+            sample, combination = outcome
+            selection = {
+                job.name: (window.start, window.cost)
+                for job, window in combination.selection.items()
+            }
+            return asdict(sample), selection, combination.total_cost, combination.total_time
+
+        stopping = run_all()
+        search = experiment.find_alternatives
+
+        def full(*args, **kwargs):
+            assert kwargs.pop("stop_if_uncovered")
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "find_alternatives", full)
+        full_outcomes = run_all()
+        assert None in stopping
+        assert [summary(o) for o in stopping] == [summary(o) for o in full_outcomes]
+
 
 class TestInProcessSeries:
     def test_accounting_adds_up(self, time_result):
@@ -170,6 +205,25 @@ class TestParallelRunner:
         naive_result = ParallelRunner(self.CONFIG, workers=1).run()
         assert set(naive_calls) == set(SlotSearchAlgorithm)
         assert _result_document(naive_result) == _result_document(indexed)
+
+    @pytest.mark.parametrize("seed", [20110368, 918273])
+    def test_stop_if_uncovered_leaves_series_unchanged(self, seed, monkeypatch):
+        """Phase 1 stops at a batch's first uncovered job; the series
+        equals one where every search runs to the end."""
+        config = ExperimentConfig(objective=Criterion.TIME, iterations=60, seed=seed)
+        stopping = ParallelRunner(config, workers=1).run()
+        assert stopping.dropped_uncovered > 0
+        search = experiment.find_alternatives
+        flags = []
+
+        def full(*args, **kwargs):
+            flags.append(kwargs.pop("stop_if_uncovered"))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "find_alternatives", full)
+        full_result = ParallelRunner(config, workers=1).run()
+        assert flags and all(flags)
+        assert _result_document(full_result) == _result_document(stopping)
 
     def test_progress_reports_shard_boundaries(self):
         calls = []

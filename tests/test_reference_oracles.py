@@ -13,7 +13,9 @@ identical window sets — same alternatives, same pass counts, same
 remaining slots — and identical phase-2 DP selections, across hundreds
 of random instances.  This is the equivalence-testing policy of
 docs/benchmarks.md: any future fast path must ship with tests of this
-shape before it may become the default.  The *re-search* differential
+shape before it may become the default.  The *stop* differential holds
+a search that ends at its first uncovered job (``stop_if_uncovered``)
+to the full search on both loops.  The *re-search* differential
 extends it to the revocation path: ``RecoveryManager.research`` on a
 seeded VO with outages must pick the reference finder's window.
 
@@ -38,6 +40,7 @@ from hypothesis import strategies as st
 from repro.core import (
     Batch,
     Criterion,
+    InvalidRequestError,
     Job,
     Resource,
     ResourceRequest,
@@ -429,7 +432,6 @@ _EMPTY_BATCH_TELEMETRY = {
     ("counter", "search.windows_collected{algo={algo}}"): 0,
     ("counter", "search.jobs_uncovered{algo={algo}}"): 0,
     ("counter", "search.slots_scanned{algo={algo}}"): 0,
-    ("counter", "search.windows_found{algo={algo}}"): 0,
     ("counter", "search.windows_missed{algo={algo}}"): 0,
     ("counter", "search.hint_skips{algo={algo}}"): 0,
     ("counter", "search.hint_runtime_skips{algo={algo}}"): 0,
@@ -477,6 +479,70 @@ def test_empty_batch_builds_no_index(algorithm, monkeypatch):
         for (kind, name), value in _EMPTY_BATCH_TELEMETRY.items()
     }
     assert recorded == expected
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3], ids=["uncapped", "cap1", "cap3"])
+@pytest.mark.parametrize("rho", [1.0, 0.8, 0.5, 0.3])
+@pytest.mark.parametrize("use_index", [True, False], ids=["indexed", "naive"])
+@pytest.mark.parametrize(
+    "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
+)
+def test_stop_if_uncovered_matches_full_search(algorithm, use_index, rho, cap, monkeypatch):
+    """A search that stops at the first job it cannot cover decides
+    coverage as the full search does.
+
+    A covered batch gets the full search, window for window.  An
+    uncovered one ends in pass 1 with the batch prefix up to the first
+    job the full search leaves uncovered, and no later job is searched.
+    """
+    searched: list[int] = []
+    finders = [
+        (SlotIndex, "find_alp_window"),
+        (SlotIndex, "find_amp_window_at"),
+        (alp, "find_window"),
+        (amp, "find_window"),
+    ]
+    for owner, name in finders:
+        original = getattr(owner, name)
+
+        def spy(*args, _original=original, **kwargs):
+            searched.append(id(args[1]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    stops = early_stops = 0
+    for seed in range(30):
+        slots = _fragmented_slot_list(seed, nodes=8, per_node=12)
+        batch = make_random_batch(seed)
+        options = dict(rho=rho, max_alternatives_per_job=cap, use_index=use_index)
+        full = find_alternatives(slots, batch, algorithm, **options)
+        searched.clear()
+        stopped = find_alternatives(slots, batch, algorithm, stop_if_uncovered=True, **options)
+        assert stopped.all_jobs_covered() == full.all_jobs_covered(), seed
+        if full.all_jobs_covered():
+            assert _search_fingerprint(stopped) == _search_fingerprint(full), seed
+            continue
+        jobs = list(batch)
+        first = jobs.index(full.jobs_without_alternatives()[0])
+        prefix = jobs[: first + 1]
+        assert stopped.passes == 1, seed
+        assert list(stopped.alternatives) == prefix, seed
+        assert stopped.jobs_without_alternatives() == [prefix[-1]], seed
+        assert set(searched) == {id(job.request) for job in prefix}, seed
+        stops += 1
+        early_stops += first < len(jobs) - 1
+    assert stops > 0 and early_stops > 0, "no search stopped before the batch's end"
+
+
+def test_stop_if_uncovered_rejects_custom_finder():
+    """The stop rests on ALP/AMP's empty find being final, which an
+    arbitrary finder need not share."""
+    slots = make_random_slot_list(0, count=40)
+    batch = make_random_batch(0)
+    custom = SlotSearchAlgorithm.AMP.finder()
+    find_alternatives(slots, batch, custom)
+    with pytest.raises(InvalidRequestError, match="stop_if_uncovered"):
+        find_alternatives(slots, batch, custom, stop_if_uncovered=True)
 
 
 # --------------------------------------------------------------------- #

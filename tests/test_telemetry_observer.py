@@ -6,7 +6,8 @@ phase-1 search must stay on the indexed path (no call reaches the naive
 the windows, pass counts and remaining slots of the telemetry-off run.
 Three entry points are checked: ``find_alternatives`` with default
 arguments, ``sim.experiment.run_iteration`` and
-``BatchScheduler.schedule``.
+``BatchScheduler.schedule``.  A search stopped at its first uncovered
+job (``stop_if_uncovered``) must also report exactly that one job.
 """
 
 from __future__ import annotations
@@ -28,7 +29,11 @@ from repro.sim import experiment
 from repro.sim.experiment import ExperimentConfig, run_iteration
 
 from tests.conftest import make_random_batch, make_random_slot_list
-from tests.test_reference_oracles import _search_fingerprint, _window_fingerprint
+from tests.test_reference_oracles import (
+    _fragmented_slot_list,
+    _search_fingerprint,
+    _window_fingerprint,
+)
 
 SEEDS = range(8)
 
@@ -153,3 +158,47 @@ def test_spy_sees_the_naive_path(naive_calls):
     for algorithm in (SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP):
         find_alternatives(slots, batch, algorithm, use_index=False)
     assert set(naive_calls) == {alp.__name__, amp.__name__}
+
+
+@pytest.mark.parametrize("use_index", [True, False], ids=["indexed", "naive"])
+@pytest.mark.parametrize(
+    "algorithm", [SlotSearchAlgorithm.ALP, SlotSearchAlgorithm.AMP], ids=["alp", "amp"]
+)
+def test_stopped_search_counts_one_uncovered_job(algorithm, use_index):
+    """Each stopped search adds 1 to ``search.jobs_uncovered`` and 1 to
+    ``search.stopped_uncovered``; a covered one adds 0 to both.  On the
+    indexed loop the failing job's decision path ends at its
+    ``index.no_window`` record, in pass 1."""
+    telemetry = configure(decisions=DecisionLog())
+    registry = telemetry.registry
+    label = algorithm.value
+
+    def reading(name):
+        counter = registry.get(name, algo=label)
+        return 0 if counter is None else counter.value
+
+    stops = 0
+    try:
+        for seed in range(30):
+            slots = _fragmented_slot_list(seed, nodes=8, per_node=12)
+            batch = make_random_batch(seed)
+            before = reading("search.stopped_uncovered"), reading("search.jobs_uncovered")
+            telemetry.decisions.clear()
+            result = find_alternatives(
+                slots, batch, algorithm, use_index=use_index, stop_if_uncovered=True
+            )
+            after = reading("search.stopped_uncovered"), reading("search.jobs_uncovered")
+            stopped = not result.all_jobs_covered()
+            assert (after[0] - before[0], after[1] - before[1]) == (stopped, stopped), seed
+            stops += stopped
+            if stopped and use_index:
+                last = telemetry.decisions.records[-1]
+                (failing,) = result.jobs_without_alternatives()
+                assert (last["op"], last["job"], last["search_pass"]) == (
+                    "index.no_window",
+                    failing.name,
+                    1,
+                ), seed
+    finally:
+        disable()
+    assert stops > 0, "no search stopped"
