@@ -70,7 +70,7 @@ from repro.core.columns import ColumnStore, Row, SurvivorRow, expiry_bound
 from repro.core.errors import SlotListError
 from repro.core.job import ResourceRequest
 from repro.core.resource import Resource
-from repro.core.slot import Slot, SlotList
+from repro.core.slot import Slot, SlotList, _carve_slot
 from repro.core.window import Window, carved_allocation
 
 __all__ = ["SlotIndex"]
@@ -85,25 +85,6 @@ INF = float("inf")
 # vectorized rebuild is a single C-level ``zip`` over the column
 # buffers and the scans append the memo tuples themselves as
 # candidates instead of building per-row wrappers.
-
-_new = object.__new__
-_set_field = object.__setattr__
-
-
-def _carve_slot(resource: Resource, start: float, end: float, price: float) -> Slot:
-    """A :class:`Slot` without the dataclass ``__init__``.
-
-    Every slot the index materialises is backed by a row that already
-    holds the model invariants (non-empty span, validated price), so
-    the hot paths skip the frozen-dataclass machinery and its
-    re-validation.
-    """
-    slot = _new(Slot)
-    _set_field(slot, "resource", resource)
-    _set_field(slot, "start", start)
-    _set_field(slot, "end", end)
-    _set_field(slot, "price", price)
-    return slot
 
 #: Entries a scan must have skipped as hint-dead before a find bothers
 #: rewriting its memo; below this the list-copy costs more than the

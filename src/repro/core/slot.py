@@ -106,6 +106,26 @@ class Slot:
         )
 
 
+_new = object.__new__
+_set_field = object.__setattr__
+
+
+def _carve_slot(resource: Resource, start: float, end: float, price: float) -> Slot:
+    """A :class:`Slot` without the dataclass ``__init__``.
+
+    The trusted constructor for spans whose invariants already hold —
+    a non-empty span and a validated price, such as a slot-index row or
+    a vacant span of a node schedule — so hot paths skip the
+    frozen-dataclass machinery and its re-validation.
+    """
+    slot = _new(Slot)
+    _set_field(slot, "resource", resource)
+    _set_field(slot, "start", start)
+    _set_field(slot, "end", end)
+    _set_field(slot, "price", price)
+    return slot
+
+
 def _sort_key(slot: Slot) -> tuple[float, float, int]:
     """Total order used by :class:`SlotList`.
 

@@ -29,12 +29,15 @@ restores the consistent state just before it.
 Snapshots are rewritten in full, yet little changes between two of
 them: committed windows, busy intervals, iteration reports and jobs are
 immutable, and only a few nodes and trace records move per tick.  Each
-durable run keeps a text cache (:class:`_SnapshotText`) that holds the
-canonical JSON of every object, node and trace record the last snapshot
-wrote, so the next one encodes only what changed and joins the rest in
-one pass.  The file bytes are exactly those of
-``json.dumps(snapshot_metascheduler(meta) | {"journal_seq": ...},
-separators=(",", ":"), sort_keys=True)``.
+durable run keeps a text cache (:class:`_SnapshotText`) with one entry
+per node, trace record, window and report the last snapshot wrote,
+keyed by identity.  A node whose intervals are the stored ones and a
+record whose job, window and fields are the stored ones reuse their
+text whole, so the next snapshot encodes only what changed and its cost
+follows the change, not the size of the state.  A new window's text is
+written directly, without building its dict.  The file bytes are
+exactly those of ``json.dumps(snapshot_metascheduler(meta) |
+{"journal_seq": ...}, separators=(",", ":"), sort_keys=True)``.
 
 Typical use::
 
@@ -198,11 +201,13 @@ def _object(values: dict[str, Any], texts: dict[str, str]) -> str:
     values are canonical JSON text already."""
     items = {key: _canonical(value) for key, value in values.items()}
     items.update(texts)
-    return (
-        "{"
-        + ",".join([encode_basestring_ascii(key) + ":" + items[key] for key in sorted(items)])
-        + "}"
-    )
+    # One join, so a long text is copied once.
+    parts = []
+    for key in sorted(items):
+        parts += (",", encode_basestring_ascii(key), ":", items[key])
+    parts[:1] = ["{"]
+    parts.append("}")
+    return "".join(parts)
 
 
 def _encode_interval(interval: BusyInterval) -> list[Any]:
@@ -346,97 +351,204 @@ def snapshot_metascheduler(meta: Metascheduler) -> dict[str, Any]:
     }
 
 
+#: A window's canonical text has this form for each allocation.  Its
+#: fields are the allocation's end, its source slot's end, price,
+#: resource uid and start, and the allocation's start.
+_ALLOCATION_TEXT = (
+    '{"end":%s,"source":{"end":%s,"price":%s,"resource":%s,"start":%s},"start":%s}'
+)
+
+#: The canonical text of a window's request: its max price, min
+#: performance, node count and volume.
+_REQUEST_TEXT = '{"max_price":%s,"min_performance":%s,"node_count":%s,"volume":%s}'
+
+
+def _window_text(encoder: _Encoder, window: Window) -> str:
+    """``_canonical(encoder.window(window))``, written directly.
+
+    Fields are validated, and resources interned, in the order
+    :meth:`_Encoder.window` does it, so a bad field raises the same
+    error and the resource table fills in the same order.  The values
+    are then written by one :data:`_canonical` call and laid into the
+    fixed key order of :data:`_ALLOCATION_TEXT` and :data:`_REQUEST_TEXT`.
+    """
+    request = window.request
+    max_price = request.max_price
+    if math.isnan(max_price):
+        raise InvalidRequestError("request max_price must not be NaN")
+    volume = _finite(request.volume, "request volume")
+    min_performance = _finite(request.min_performance, "request min_performance")
+    values: list[Any] = []
+    for allocation in window.allocations:
+        source = allocation.source
+        uid = encoder.resource(source.resource)
+        source_start = _finite(source.start, "slot start")
+        source_end = _finite(source.end, "slot end")
+        source_price = _finite(source.price, "slot price")
+        start = _finite(allocation.start, "allocation start")
+        end = _finite(allocation.end, "allocation end")
+        values += (end, source_end, source_price, uid, source_start, start)
+    values += (
+        None if math.isinf(max_price) else max_price,
+        min_performance,
+        request.node_count,
+        volume,
+    )
+    texts = _canonical(values)[1:-1].split(",")
+    if len(texts) != len(values):
+        # Some value's text holds a comma (a string uid, say).
+        texts = [_canonical(value) for value in values]
+    allocations = ",".join([_ALLOCATION_TEXT] * len(window.allocations))
+    return f'{{"allocations":[{allocations}],"request":{_REQUEST_TEXT}}}' % tuple(texts)
+
+
+#: A cached node: (node, resource, busy intervals, their texts, node text).
+_NodeEntry = tuple[ComputeNode, Resource, tuple[BusyInterval, ...], tuple[str, ...], str]
+
+#: A cached trace record: (record, job, job text, window, own fields, text).
+_RecordEntry = tuple[JobRecord, Job, str, "Window | None", tuple[Any, ...], str]
+
+
+def _node_entry(
+    node: ComputeNode,
+    resource: Resource,
+    intervals: tuple[BusyInterval, ...],
+    previous: _NodeEntry | None,
+) -> _NodeEntry:
+    """A node's cache entry, encoding only the intervals ``previous`` lacks."""
+    known = {} if previous is None else dict(zip(map(id, previous[2]), previous[3]))
+    texts = tuple(
+        [
+            known.get(id(interval)) or _canonical(_encode_interval(interval))
+            for interval in intervals
+        ]
+    )
+    text = f'{{"intervals":[{",".join(texts)}],"resource":{_canonical(resource.uid)}}}'
+    return (node, resource, intervals, texts, text)
+
+
 class _SnapshotText:
-    """A durable run's snapshot text, cached at the grain where state changes.
+    """A durable run's snapshot text, cached per owner of the state that changes.
 
     :meth:`render` returns ``_canonical(snapshot_metascheduler(meta) |
-    extra)`` in one pass, reusing the text of the previous render:
+    extra)`` in one pass, reusing the text of the previous render.  Each
+    entry is keyed by the identity of the object it describes and holds
+    that object, so the id cannot be reused while the entry lives:
 
-    * jobs, windows, busy intervals and iteration reports never change;
-      their text is keyed by identity, and each entry holds its object so
-      the id cannot be reused while the entry lives;
-    * a node's text is keyed by its resource uid and its intervals;
-    * a trace record's text is keyed by its job and window and the values
-      of its own fields.
+    * a node's entry holds its resource, the tuple of its busy intervals,
+      their texts and the node's text.  The node is rewritten only when
+      its resource or its intervals differ from the stored ones, and then
+      only the intervals it did not have are encoded;
+    * a trace record's entry holds its job and the job's text, its window,
+      the tuple of its own fields and the record's text.  It is rewritten
+      only when one of them changed, the job and the window compared by
+      identity;
+    * a window's entry holds the uids of its resources and its text.  A
+      hit interns those resources only if one is missing from the
+      table, so the table comes out in the order encoding would give it;
+    * an iteration report's entry holds its text.
 
     Each render keeps exactly the entries it used, so the cache holds the
     current state and nothing older.
     """
 
-    __slots__ = ("_objects", "_nodes", "_records")
+    __slots__ = ("_nodes", "_records", "_windows", "_reports")
 
     def __init__(self) -> None:
-        #: ``id(obj)`` -> ``(obj, text)`` for every immutable object.
-        self._objects: dict[int, tuple[Any, str]] = {}
-        #: ``(uid, *interval ids)`` -> (the intervals' entries, node text).
-        self._nodes: dict[tuple[int, ...], tuple[dict[int, tuple[Any, str]], str]] = {}
-        #: ``(id(job), id(window), *field values)`` -> record text.
-        self._records: dict[tuple[Any, ...], str] = {}
+        #: ``id(node)`` -> (node, resource, intervals, interval texts, text).
+        self._nodes: dict[int, _NodeEntry] = {}
+        #: ``id(record)`` -> (record, job, job text, window, fields, text).
+        self._records: dict[int, _RecordEntry] = {}
+        #: ``id(window)`` -> (window, resource uids, text).
+        self._windows: dict[int, tuple[Window, frozenset[int], str]] = {}
+        #: ``id(report)`` -> (report, text).
+        self._reports: dict[int, tuple[IterationReport, str]] = {}
+
+    def _held(self) -> dict[int, object]:
+        """Every immutable object the cache holds text for, by id."""
+        held: dict[int, object] = {}
+        for node in self._nodes.values():
+            held.update((id(interval), interval) for interval in node[2])
+        for record in self._records.values():
+            held[id(record[1])] = record[1]
+        for cache in (self._windows, self._reports):
+            held.update((key, entry[0]) for key, entry in cache.items())
+        return held
 
     def __len__(self) -> int:
-        return len(self._objects)
+        return len(self._held())
 
     def __contains__(self, obj: object) -> bool:
-        entry = self._objects.get(id(obj))
-        return entry is not None and entry[0] is obj
+        return self._held().get(id(obj)) is obj
 
     def render(self, meta: Metascheduler, extra: dict[str, Any]) -> str:
         """The snapshot text of ``meta`` with the ``extra`` top-level keys."""
-        old_objects, old_nodes, old_records = self._objects, self._nodes, self._records
-        objects: dict[int, tuple[Any, str]] = {}
-        nodes: dict[tuple[int, ...], tuple[dict[int, tuple[Any, str]], str]] = {}
-        records: dict[tuple[Any, ...], str] = {}
-        self._objects, self._nodes, self._records = objects, nodes, records
+        old_nodes, old_records = self._nodes, self._records
+        old_windows, old_reports = self._windows, self._reports
+        nodes: dict[int, _NodeEntry] = {}
+        records: dict[int, _RecordEntry] = {}
+        windows: dict[int, tuple[Window, frozenset[int], str]] = {}
+        reports: dict[int, tuple[IterationReport, str]] = {}
+        self._nodes, self._records, self._windows, self._reports = (
+            nodes,
+            records,
+            windows,
+            reports,
+        )
         encoder = _Encoder()
-
-        def text(obj: Any, encode: Callable[[Any], Any]) -> str:
-            key = id(obj)
-            entry = objects.get(key) or old_objects.get(key)
-            if entry is None:
-                entry = (obj, _canonical(encode(obj)))
-            objects[key] = entry
-            return entry[1]
+        interned = encoder.resources.keys()
 
         def window_text(window: Window) -> str:
-            if id(window) in old_objects:
-                # Intern the resources as encoding the window would, so
-                # the resource table comes out in the same order.
-                for allocation in window.allocations:
-                    encoder.resource(allocation.source.resource)
-            return text(window, encoder.window)
+            key = id(window)
+            entry = windows.get(key)
+            if entry is None:
+                entry = old_windows.get(key)
+                if entry is None:
+                    uids = frozenset(
+                        [allocation.source.resource.uid for allocation in window.allocations]
+                    )
+                    entry = (window, uids, _window_text(encoder, window))
+                elif not entry[1] <= interned:
+                    # Intern the resources as encoding the window would,
+                    # so the resource table comes out in the same order.
+                    for allocation in window.allocations:
+                        encoder.resource(allocation.source.resource)
+                windows[key] = entry
+            return entry[2]
 
         clusters = []
         for cluster in meta.environment.clusters:
             node_texts = []
             for node in cluster:
-                uid = encoder.resource(node.resource)
-                key = (uid, *map(id, node.schedule))
-                entry = old_nodes.get(key)
-                if entry is None:
-                    intervals = {
-                        id(interval): old_objects.get(id(interval))
-                        or (interval, _canonical(_encode_interval(interval)))
-                        for interval in node.schedule
-                    }
-                    intervals_text = ",".join([entry[1] for entry in intervals.values()])
-                    entry = (
-                        intervals,
-                        _object({"resource": uid}, {"intervals": f"[{intervals_text}]"}),
-                    )
-                objects.update(entry[0])
-                nodes[key] = entry
-                node_texts.append(entry[1])
+                resource = node.resource
+                encoder.resource(resource)
+                intervals = node.schedule.intervals()
+                node_entry = old_nodes.get(id(node))
+                if (
+                    node_entry is None
+                    or node_entry[1] is not resource
+                    or node_entry[2] != intervals
+                ):
+                    node_entry = _node_entry(node, resource, intervals, node_entry)
+                else:
+                    # Value-equal intervals share their text; the entry
+                    # holds the live ones.
+                    node_entry = (node, resource, intervals, node_entry[3], node_entry[4])
+                nodes[id(node)] = node_entry
+                node_texts.append(node_entry[4])
             nodes_text = ",".join(node_texts)
             clusters.append(_object({"name": cluster.name}, {"nodes": f"[{nodes_text}]"}))
 
         trace = []
         for record in meta.trace:
             job, window = record.job, record.window
-            job_text = text(job, encoder.job)
+            record_entry = old_records.get(id(record))
+            if record_entry is not None and record_entry[1] is job:
+                job_text = record_entry[2]
+            else:
+                job_text = _canonical(encoder.job(job))
             window_json = "null" if window is None else window_text(window)
-            key = (
-                id(job),
-                id(window),
+            fields = (
                 record.state,
                 record.scheduled_iteration,
                 record.postponements,
@@ -444,20 +556,33 @@ class _SnapshotText:
                 record.recoveries,
                 record.submit_time,
             )
-            record_text = old_records.get(key)
-            if record_text is None:
-                record_text = _object(
-                    _encode_record(record), {"job": job_text, "window": window_json}
-                )
-            records[key] = record_text
-            trace.append(record_text)
+            if (
+                record_entry is None
+                or record_entry[1] is not job
+                or record_entry[3] is not window
+                or record_entry[4] != fields
+            ):
+                # "job" sorts before the record's own keys, "window" after.
+                own = _canonical(_encode_record(record))[1:-1]
+                record_text = f'{{"job":{job_text},{own},"window":{window_json}}}'
+                record_entry = (record, job, job_text, window, fields, record_text)
+            records[id(record)] = record_entry
+            trace.append(record_entry[5])
 
-        reports = [text(report, _encode_report) for report in meta.reports]
+        report_texts = []
+        for report in meta.reports:
+            key = id(report)
+            report_entry = reports.get(key) or old_reports.get(key)
+            if report_entry is None:
+                report_entry = (report, _canonical(_encode_report(report)))
+            reports[key] = report_entry
+            report_texts.append(report_entry[1])
+
         recovery = "null"
         if meta.recovery is not None:
             retained = {
-                str(uid): f"[{','.join([window_text(window) for window in windows])}]"
-                for uid, windows in meta.recovery._retained.items()
+                str(uid): f"[{','.join([window_text(window) for window in kept])}]"
+                for uid, kept in meta.recovery._retained.items()
             }
             recovery = _object(
                 _encode_recovery(meta.recovery), {"retained": _object({}, retained)}
@@ -469,7 +594,7 @@ class _SnapshotText:
                 "environment": _object({}, {"clusters": f"[{','.join(clusters)}]"}),
                 "metascheduler": _object(_encode_state(meta), {"recovery": recovery}),
                 "trace": f"[{','.join(trace)}]",
-                "reports": f"[{','.join(reports)}]",
+                "reports": f"[{','.join(report_texts)}]",
                 # Last: the environment and every window above fill it.
                 "resources": _canonical(list(encoder.resources.values())),
             },

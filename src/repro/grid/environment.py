@@ -103,27 +103,28 @@ class VOEnvironment:
                 demand-adjusted pricing experiments; node base prices are
                 untouched.
         """
-        if price_multiplier <= 0:
-            raise InvalidRequestError(
-                f"price_multiplier must be positive, got {price_multiplier!r}"
-            )
         slots: list[Slot] = []
         for node in self.nodes():
-            published = node.vacant_slots(horizon_start, horizon_end, min_length=min_length)
-            if price_multiplier != 1.0:
-                published = [
-                    Slot(
-                        slot.resource,
-                        slot.start,
-                        slot.end,
-                        price=slot.price * price_multiplier,
-                    )
-                    for slot in published
-                ]
-            slots.extend(published)
+            slots.extend(
+                node.vacant_slots(
+                    horizon_start,
+                    horizon_end,
+                    min_length=min_length,
+                    price_multiplier=price_multiplier,
+                )
+            )
         # One sort instead of an insort per slot; vacant spans are never
         # empty, so nothing SlotList.insert would drop reaches here.
         return SlotList(slots)
+
+    def vacant_slot_count(
+        self, horizon_start: float, horizon_end: float, *, min_length: float = 0.0
+    ) -> int:
+        """``len(vacant_slot_list(...))``, counted without building a slot."""
+        return sum(
+            len(node.published_spans(horizon_start, horizon_end, min_length=min_length))
+            for node in self.nodes()
+        )
 
     def commit_window(self, job_name: str, window: Window) -> None:
         """Reserve a scheduled window's spans in the node schedules.

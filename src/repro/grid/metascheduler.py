@@ -14,6 +14,9 @@ on top of the grid substrate:
 4. commit the chosen windows as reservations; postponed jobs stay in
    the queue for the next iteration (up to an optional retry limit).
 
+A tick with an empty batch skips steps 2–4: it only counts the slots
+the list would hold, for its report.
+
 The run produces a :class:`~repro.grid.trace.WorkloadTrace` plus one
 :class:`IterationReport` per tick.
 """
@@ -28,6 +31,7 @@ from repro.core.pricing import DemandAdjustedPricing
 from repro.core.scheduler import (
     BatchScheduler,
     InfeasiblePolicy,
+    ScheduleOutcome,
     SchedulerConfig,
 )
 from repro.grid.environment import VOEnvironment
@@ -52,7 +56,8 @@ class IterationReport:
     Attributes:
         index: Iteration number (0-based).
         time: Tick time of the iteration.
-        slot_count: Vacant slots published by the environment.
+        slot_count: Vacant slots the environment publishes over the
+            horizon (counted, not published, when the batch is empty).
         batch_size: Jobs in this iteration's batch.
         scheduled: Jobs that received (and committed) a window.
         postponed: Jobs pushed to the next iteration.
@@ -269,13 +274,59 @@ class Metascheduler:
                 window_start, window_start + self.period
             )
             price_multiplier = self.demand_pricing.multiplier(utilization)
-        slots = self.environment.vacant_slot_list(
-            now,
-            now + self.horizon,
-            min_length=self.min_slot_length,
-            price_multiplier=price_multiplier,
+        if batch_jobs:
+            slots = self.environment.vacant_slot_list(
+                now,
+                now + self.horizon,
+                min_length=self.min_slot_length,
+                price_multiplier=price_multiplier,
+            )
+            slot_count = len(slots)
+            outcome = self.scheduler.schedule(slots, batch)
+            scheduled, rejected = self._apply(outcome, by_uid, telemetry)
+            postponed = len(outcome.postponed) - rejected
+            total_alternatives = outcome.search.total_alternatives
+            used_fallback = outcome.used_fallback
+        else:
+            # An empty batch publishes nothing and runs no scheduler; the
+            # report still counts the slots a publication would hold.
+            slot_count = self.environment.vacant_slot_count(
+                now, now + self.horizon, min_length=self.min_slot_length
+            )
+            scheduled = postponed = rejected = total_alternatives = 0
+            used_fallback = False
+
+        resilience = self._outage_counts
+        report = IterationReport(
+            index=self._iteration,
+            time=now,
+            slot_count=slot_count,
+            batch_size=len(batch),
+            scheduled=scheduled,
+            postponed=postponed,
+            rejected=rejected,
+            total_alternatives=total_alternatives,
+            used_fallback=used_fallback,
+            revocations=resilience["revocations"],
+            hot_swaps=resilience["hot_swaps"],
+            replacements=resilience["replacements"],
+            recovery_rejections=resilience["recovery_rejections"],
         )
-        outcome = self.scheduler.schedule(slots, batch)
+        self._outage_counts = {key: 0 for key in resilience}
+        self.reports.append(report)
+        self._iteration += 1
+        if telemetry.enabled:
+            self._record_iteration(telemetry, report, price_multiplier)
+        return report
+
+    def _apply(
+        self, outcome: ScheduleOutcome, by_uid: dict[int, Job], telemetry: Telemetry
+    ) -> tuple[int, int]:
+        """Commit the scheduled jobs and postpone the rest.
+
+        Returns the number of jobs scheduled and the number rejected for
+        exceeding the postponement limit.
+        """
         decisions = telemetry.decisions
         record_decisions = decisions.enabled
 
@@ -333,29 +384,7 @@ class Metascheduler:
                     job=original.name,
                     postponements=record.postponements,
                 )
-
-        resilience = self._outage_counts
-        report = IterationReport(
-            index=self._iteration,
-            time=now,
-            slot_count=len(slots),
-            batch_size=len(batch),
-            scheduled=scheduled,
-            postponed=len(outcome.postponed) - rejected,
-            rejected=rejected,
-            total_alternatives=outcome.search.total_alternatives,
-            used_fallback=outcome.used_fallback,
-            revocations=resilience["revocations"],
-            hot_swaps=resilience["hot_swaps"],
-            replacements=resilience["replacements"],
-            recovery_rejections=resilience["recovery_rejections"],
-        )
-        self._outage_counts = {key: 0 for key in resilience}
-        self.reports.append(report)
-        self._iteration += 1
-        if telemetry.enabled:
-            self._record_iteration(telemetry, report, price_multiplier)
-        return report
+        return scheduled, rejected
 
     def _record_iteration(
         self, telemetry: Telemetry, report: IterationReport, price_multiplier: float

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from repro.core.errors import InvalidRequestError
 from repro.core.resource import Resource
-from repro.core.slot import Slot
+from repro.core.slot import Slot, _carve_slot
 from repro.grid.occupancy import BusyInterval, OccupancySchedule
 
 __all__ = [
@@ -82,8 +82,10 @@ class ComputeNode:
         """Drop every reservation made for ``job_name``; returns count."""
         return self.schedule.release_label(f"{RESERVATION_LABEL_PREFIX}{job_name}")
 
-    def vacant_slots(self, horizon_start: float, horizon_end: float, *, min_length: float = 0.0) -> list[Slot]:
-        """Publish the node's vacant slots over a horizon.
+    def published_spans(
+        self, horizon_start: float, horizon_end: float, *, min_length: float = 0.0
+    ) -> list[tuple[float, float]]:
+        """The vacant ``(start, end)`` spans the node publishes over a horizon.
 
         Args:
             horizon_start: Beginning of the published window (usually the
@@ -95,9 +97,42 @@ class ComputeNode:
         if min_length < 0:
             raise InvalidRequestError(f"min_length must be >= 0, got {min_length!r}")
         return [
-            Slot(self.resource, start, end)
+            (start, end)
             for start, end in self.schedule.vacant_spans(horizon_start, horizon_end)
             if end - start >= min_length
+        ]
+
+    def vacant_slots(
+        self,
+        horizon_start: float,
+        horizon_end: float,
+        *,
+        min_length: float = 0.0,
+        price_multiplier: float = 1.0,
+    ) -> list[Slot]:
+        """Publish the node's vacant slots over a horizon.
+
+        One slot per :meth:`published_spans` span.  ``price_multiplier``
+        scales the slot price (demand-adjusted pricing); the node's base
+        price is untouched.  Vacant spans are never empty and the price
+        is validated here, so the slots are built by the trusted
+        constructor.
+
+        Raises:
+            InvalidRequestError: When ``price_multiplier`` is not
+                positive or ``min_length`` is negative.
+        """
+        if price_multiplier <= 0:
+            raise InvalidRequestError(
+                f"price_multiplier must be positive, got {price_multiplier!r}"
+            )
+        resource = self.resource
+        price = resource.price if price_multiplier == 1.0 else resource.price * price_multiplier
+        return [
+            _carve_slot(resource, start, end, price)
+            for start, end in self.published_spans(
+                horizon_start, horizon_end, min_length=min_length
+            )
         ]
 
     # ------------------------------------------------------------------ #

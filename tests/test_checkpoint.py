@@ -653,7 +653,7 @@ class TestSnapshotMemo:
 
             return wrapper
 
-        monkeypatch.setattr(_Encoder, "window", counting(_Encoder.window))
+        monkeypatch.setattr(checkpoint, "_window_text", counting(checkpoint._window_text))
         monkeypatch.setattr(_Encoder, "job", counting(_Encoder.job))
         monkeypatch.setattr(checkpoint, "_encode_interval", counting(checkpoint._encode_interval))
         monkeypatch.setattr(checkpoint, "_encode_report", counting(checkpoint._encode_report))

@@ -112,6 +112,34 @@ class TestSingleIteration:
         assert report.batch_size == 0
         assert meta.backlog() == 1
 
+    def test_empty_queue_publishes_nothing_and_counts_the_slots(self, monkeypatch):
+        environment = _environment()
+        for position, node in enumerate(environment.nodes()):
+            for start in range(0, 600, 90 + 20 * position):
+                node.run_local_job(float(start), float(start + 30 + 4 * position))
+        meta = Metascheduler(
+            environment, _scheduler(), horizon=400.0, min_slot_length=12.0
+        )
+        meta.submit(_job(), at_time=500.0)  # arrives after the tick
+        # What the tick published before empty batches skipped it.
+        published = environment.vacant_slot_list(100.0, 500.0, min_length=12.0)
+        calls: list[str] = []
+        monkeypatch.setattr(
+            VOEnvironment,
+            "vacant_slot_list",
+            lambda *args, **kwargs: calls.append("vacant_slot_list"),
+        )
+        monkeypatch.setattr(
+            BatchScheduler, "schedule", lambda *args: calls.append("schedule")
+        )
+        report = meta.run_iteration(100.0)
+        assert calls == []
+        assert report.batch_size == 0
+        assert report.slot_count == len(published) > 0
+        assert (report.scheduled, report.postponed, report.rejected) == (0, 0, 0)
+        assert report.total_alternatives == 0
+        assert not report.used_fallback
+
     def test_impossible_job_postponed_each_iteration(self):
         meta = Metascheduler(_environment(node_count=1), _scheduler(), horizon=300.0)
         job = _job(node_count=3, name="huge")  # needs 3 nodes, VO has 1

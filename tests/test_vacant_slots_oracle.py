@@ -8,14 +8,24 @@ insert slot by slot into a :class:`SlotList`.  Both must publish equal
 slot lists over random occupancies — with and without ``min_length``
 and ``price_multiplier``, for horizons starting inside a busy interval,
 and for nodes with empty schedules.
+
+Published slots come from the trusted constructor
+(``repro.core.slot._carve_slot``), the reference's from the validating
+``Slot`` constructor, so the slots must also compare and price equal
+node by node, down to the price's type.  A metascheduler tick with an
+empty batch counts the slots (``VOEnvironment.vacant_slot_count``)
+instead of publishing them, so the count must equal the length of the
+list.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Slot, SlotList
+from repro.core.errors import InvalidRequestError
 from repro.grid import Cluster, ComputeNode, OccupancySchedule, VOEnvironment
 
 
@@ -77,9 +87,9 @@ occupancies = st.lists(
 def build_environment(layout: list[list[tuple[int, int]]]) -> VOEnvironment:
     nodes = []
     for number, busy in enumerate(layout):
-        node = ComputeNode(
-            f"v{number}", performance=1.0 + number % 3, price=1.0 + number * 0.7
-        )
+        # Odd nodes get an int price, which an unscaled slot keeps.
+        price = 1 + number if number % 2 else 1.0 + number * 0.7
+        node = ComputeNode(f"v{number}", performance=1.0 + number % 3, price=price)
         cursor = 0
         for gap, length in busy:
             start = cursor + gap
@@ -119,6 +129,35 @@ def test_vacant_slot_list_matches_reference(
     )
     assert published == reference
     assert [slot.price for slot in published] == [slot.price for slot in reference]
+    assert environment.vacant_slot_count(start, end, min_length=min_length) == len(
+        published
+    )
+    for node in environment.nodes():
+        trusted = node.vacant_slots(
+            start, end, min_length=min_length, price_multiplier=price_multiplier
+        )
+        validated = reference.slots_on(node.resource)
+        assert trusted == validated
+        assert [(type(slot.price), slot.price) for slot in trusted] == [
+            (type(slot.price), slot.price) for slot in validated
+        ]
+
+
+@pytest.mark.parametrize("price_multiplier", [0.0, -1.5])
+def test_non_positive_price_multiplier_rejected(price_multiplier):
+    environment = build_environment([[(2, 5)]])
+    node = next(environment.nodes())
+    with pytest.raises(InvalidRequestError, match="price_multiplier"):
+        environment.vacant_slot_list(0.0, 50.0, price_multiplier=price_multiplier)
+    with pytest.raises(InvalidRequestError, match="price_multiplier"):
+        node.vacant_slots(0.0, 50.0, price_multiplier=price_multiplier)
+
+
+def test_negative_min_length_rejected_by_the_count_too():
+    environment = build_environment([[(2, 5)]])
+    for publish in (environment.vacant_slot_list, environment.vacant_slot_count):
+        with pytest.raises(InvalidRequestError, match="min_length"):
+            publish(0.0, 50.0, min_length=-1.0)
 
 
 def test_horizon_inside_busy_interval():
