@@ -249,8 +249,70 @@ def _flush_batch_metrics(
         len(result.jobs_without_alternatives()),
         algo=algo_label,
     )
-    for windows in result.alternatives.values():
-        telemetry.observe("search.alternatives_per_job", len(windows), algo=algo_label)
+    if result.alternatives:
+        telemetry.registry.histogram(
+            "search.alternatives_per_job", algo=algo_label
+        ).observe_many([len(windows) for windows in result.alternatives.values()])
+
+
+#: One find of the indexed loop, as :func:`_flush_find_trail` replays it:
+#: job, search pass, the accepted window (``None`` for an empty find), its
+#: alternative number (0 for an empty find), and the finder's
+#: ``last_scanned`` / ``last_hint_skips`` / ``last_runtime_skips``.
+_FindRow = tuple[Job, int, Window | None, int, int, int, int]
+
+
+def _flush_find_trail(
+    telemetry: Telemetry,
+    trail: list[_FindRow],
+    algo_label: str,
+    scan_seconds: float,
+    subtract_seconds: float,
+) -> None:
+    """Turn the indexed loop's per-find rows into metrics and records.
+
+    The counters, the ``search.scan_depth`` histogram and the two
+    phase timings, then (with decision logging on) one record per find
+    in find order, emitted exactly as a per-find emit would have.
+    """
+    if not telemetry.enabled:
+        return
+    _, _, _, numbers, scanned, hint_skips, runtime_skips = (
+        zip(*trail) if trail else ((),) * 7
+    )
+    telemetry.count("search.slots_scanned", sum(scanned), algo=algo_label)
+    telemetry.count("search.windows_missed", numbers.count(0), algo=algo_label)
+    telemetry.registry.histogram("search.scan_depth", algo=algo_label).observe_many(
+        scanned
+    )
+    telemetry.count("search.hint_skips", sum(hint_skips), algo=algo_label)
+    telemetry.count("search.hint_runtime_skips", sum(runtime_skips), algo=algo_label)
+    telemetry.observe("phase.seconds", scan_seconds, phase="phase1.scan")
+    telemetry.observe("phase.seconds", subtract_seconds, phase="phase1.subtract")
+    decisions = telemetry.decisions
+    if decisions.enabled:
+        for job, search_pass, window, number, depth, hints, runtime in trail:
+            if window is None:
+                decisions.emit(
+                    "index.no_window",
+                    job=job.name,
+                    search_pass=search_pass,
+                    scanned=depth,
+                    hint_skips=hints,
+                    hint_runtime_skips=runtime,
+                )
+            else:
+                decisions.emit(
+                    "search.alternative_accepted",
+                    job=job.name,
+                    alternative=number,
+                    search_pass=search_pass,
+                    start=window.start,
+                    cost=window.cost,
+                    scanned=depth,
+                    hint_skips=hints,
+                    hint_runtime_skips=runtime,
+                )
 
 
 def _find_alternatives_naive(
@@ -326,25 +388,23 @@ def _find_alternatives_indexed(
     empty is not searched again; with ``stop_if_uncovered``, one that has
     no window yet ends the search.  An empty batch builds no index.
 
-    Telemetry attaches as observers behind ``enabled`` checks, none of
-    which feeds back into the search: the phase-1 span, the scan and
-    subtract phase timers, the batch counters, and the per-find scan
-    counts the finders record on every call anyway
-    (:attr:`SlotIndex.last_scanned` and both start-hint prune tiers,
-    :attr:`~SlotIndex.last_hint_skips` and
-    :attr:`~SlotIndex.last_runtime_skips`).  With decision logging on,
-    each find also emits one record carrying those counts.
+    Telemetry is an observer that never feeds back into the search.
+    With it on, each find appends one row to a per-batch ``trail`` (the
+    job, pass, window, alternative number, and the scan counts the
+    finders record on every call anyway: :attr:`SlotIndex.last_scanned`
+    and both start-hint prune tiers, :attr:`~SlotIndex.last_hint_skips`
+    and :attr:`~SlotIndex.last_runtime_skips`), and each commit is
+    timed.  :func:`_flush_find_trail` turns the trail into the per-find
+    counters, the scan-depth histogram, the phase timings and the
+    decision records once per batch, in a ``finally`` so a search that
+    raises still reports the finds it made.  ``phase1.scan`` is the
+    loop's time minus the commits' time.  With telemetry off, the loop
+    pays one ``None`` check per find.
     """
     enabled = telemetry.enabled
-    decisions = telemetry.decisions
-    record_decisions = enabled and decisions.enabled
     algo_label = algorithm.value
-    scan_seconds = 0.0
+    trail: list[_FindRow] | None = [] if enabled else None
     subtract_seconds = 0.0
-    began = 0.0
-    depths: list[int] = []
-    hint_skips = 0
-    runtime_skips = 0
     with telemetry.span(
         "phase1.find_alternatives", algo=algo_label, jobs=len(batch), indexed=True
     ):
@@ -381,92 +441,85 @@ def _find_alternatives_indexed(
         exhausted: set[Job] = set()
         stopped = False
         passes = 0
-        while not stopped:
-            passes += 1
-            found_any = False
-            for job in batch:
-                if job in exhausted:
-                    continue
-                windows = alternatives[job]
-                if (
-                    max_alternatives_per_job is not None
-                    and len(windows) >= max_alternatives_per_job
-                ):
-                    continue
-                if enabled:
-                    began = perf_counter()
-                if is_amp:
-                    found = index.find_amp_window_at(
-                        job.request, budget=budgets[job], start_hint=hints[job]
-                    )
-                else:
-                    alp_window = index.find_alp_window(
-                        job.request, start_hint=hints[job]
-                    )
-                    found = None if alp_window is None else (alp_window, alp_window.start)
-                if enabled:
-                    scan_seconds += perf_counter() - began
-                    depths.append(index.last_scanned)
-                    hint_skips += index.last_hint_skips
-                    runtime_skips += index.last_runtime_skips
-                if found is None:
-                    exhausted.add(job)
-                    if record_decisions:
-                        decisions.emit(
-                            "index.no_window",
-                            job=job.name,
-                            search_pass=passes,
-                            scanned=index.last_scanned,
-                            hint_skips=index.last_hint_skips,
-                            hint_runtime_skips=index.last_runtime_skips,
+        loop_began = perf_counter() if enabled else 0.0
+        try:
+            while not stopped:
+                passes += 1
+                found_any = False
+                for job in batch:
+                    if job in exhausted:
+                        continue
+                    windows = alternatives[job]
+                    if (
+                        max_alternatives_per_job is not None
+                        and len(windows) >= max_alternatives_per_job
+                    ):
+                        continue
+                    if is_amp:
+                        found = index.find_amp_window_at(
+                            job.request, budget=budgets[job], start_hint=hints[job]
                         )
-                    if stop_if_uncovered and not windows:
-                        stopped = True
-                        alternatives = _searched_prefix(alternatives, job)
-                        break
-                    continue
-                window, event_time = found
-                if enabled:
-                    began = perf_counter()
-                    index.commit(window)
-                    subtract_seconds += perf_counter() - began
-                else:
-                    index.commit(window)
-                hints[job] = event_time
-                windows.append(window)
-                found_any = True
-                if record_decisions:
-                    decisions.emit(
-                        "search.alternative_accepted",
-                        job=job.name,
-                        alternative=len(windows),
-                        search_pass=passes,
-                        start=window.start,
-                        cost=window.cost,
-                        scanned=index.last_scanned,
-                        hint_skips=index.last_hint_skips,
-                        hint_runtime_skips=index.last_runtime_skips,
-                    )
-            if not found_any:
-                break
+                    else:
+                        alp_window = index.find_alp_window(
+                            job.request, start_hint=hints[job]
+                        )
+                        found = (
+                            None if alp_window is None else (alp_window, alp_window.start)
+                        )
+                    if found is None:
+                        exhausted.add(job)
+                        if trail is not None:
+                            trail.append(
+                                (
+                                    job,
+                                    passes,
+                                    None,
+                                    0,
+                                    index.last_scanned,
+                                    index.last_hint_skips,
+                                    index.last_runtime_skips,
+                                )
+                            )
+                        if stop_if_uncovered and not windows:
+                            stopped = True
+                            alternatives = _searched_prefix(alternatives, job)
+                            break
+                        continue
+                    window, event_time = found
+                    if trail is None:
+                        index.commit(window)
+                    else:
+                        began = perf_counter()
+                        index.commit(window)
+                        subtract_seconds += perf_counter() - began
+                        # ``commit`` leaves the ``last_*`` counts alone.
+                        trail.append(
+                            (
+                                job,
+                                passes,
+                                window,
+                                len(windows) + 1,
+                                index.last_scanned,
+                                index.last_hint_skips,
+                                index.last_runtime_skips,
+                            )
+                        )
+                    hints[job] = event_time
+                    windows.append(window)
+                    found_any = True
+                if not found_any:
+                    break
+        finally:
+            if trail is not None:
+                _flush_find_trail(
+                    telemetry,
+                    trail,
+                    algo_label,
+                    perf_counter() - loop_began - subtract_seconds,
+                    subtract_seconds,
+                )
         result = SearchResult(
             alternatives=alternatives, remaining_slots=remaining, passes=passes
         )
-        if enabled:
-            _flush_batch_metrics(telemetry, result, algo_label, stopped)
-            telemetry.count("search.slots_scanned", sum(depths), algo=algo_label)
-            telemetry.count(
-                "search.windows_missed",
-                len(depths) - result.total_alternatives,
-                algo=algo_label,
-            )
-            depth_histogram = telemetry.registry.histogram(
-                "search.scan_depth", algo=algo_label
-            )
-            for depth in depths:
-                depth_histogram.observe(depth)
-            telemetry.count("search.hint_skips", hint_skips, algo=algo_label)
-            telemetry.count("search.hint_runtime_skips", runtime_skips, algo=algo_label)
-            telemetry.observe("phase.seconds", scan_seconds, phase="phase1.scan")
-            telemetry.observe("phase.seconds", subtract_seconds, phase="phase1.subtract")
+        _flush_batch_metrics(telemetry, result, algo_label, stopped)
     return result

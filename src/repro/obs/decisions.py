@@ -98,11 +98,10 @@ class DecisionLog:
         if len(self.records) >= self.max_records:
             self.dropped += 1
             return
-        record = {"kind": "decision", "op": op, "seq": self._seq}
-        record.update(self._scope)
-        record.update(fields)
+        self.records.append(
+            {"kind": "decision", "op": op, "seq": self._seq, **self._scope, **fields}
+        )
         self._seq += 1
-        self.records.append(record)
 
     def clear(self) -> None:
         """Drop all records and reset the counters."""

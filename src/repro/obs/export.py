@@ -58,13 +58,6 @@ class TraceData:
     decisions: list[dict] = field(default_factory=list)
 
     @property
-    def is_empty(self) -> bool:
-        """Whether the trace holds no data at all (not even a header)."""
-        return not (
-            self.meta or self.metrics or self.spans or self.events or self.decisions
-        )
-
-    @property
     def has_data(self) -> bool:
         """Whether any record beyond the ``meta`` header was captured.
 

@@ -21,9 +21,10 @@ scheduling run, one registry (see ``docs/observability.md``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from repro.core.errors import TelemetryUsageError
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 _InstrumentT = TypeVar("_InstrumentT", bound="Counter | Gauge | Histogram")
 
@@ -139,18 +140,33 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        # Linear scan is fine: bucket ladders are short and observations
-        # cluster in the low buckets for every metric we record.
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                break
+        self.observe_many((value,))
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record every value of ``values``, in order.
+
+        ``total`` is accumulated in the given order, so a batch leaves the
+        same bits as one :meth:`observe` per value.  Each value lands in
+        the bucket of the first bound ``>=`` it; NaN and values above the
+        last bound land in none (the implicit ``+Inf`` bucket, i.e. only
+        in ``count``).
+        """
+        bounds, counts = self.bounds, self.counts
+        last = len(bounds)
+        count, total = self.count, self.total
+        minimum, maximum = self.minimum, self.maximum
+        for value in values:
+            count += 1
+            total += value
+            if value < minimum:
+                minimum = value
+            if value > maximum:
+                maximum = value
+            index = bisect_left(bounds, value)
+            if index < last and value <= bounds[index]:
+                counts[index] += 1
+        self.count, self.total = count, total
+        self.minimum, self.maximum = minimum, maximum
 
     @property
     def mean(self) -> float:

@@ -6,9 +6,10 @@ Design constraints (see ``docs/observability.md``):
   starts with a single ``self.enabled`` check; ``span`` returns the
   shared :data:`~repro.obs.spans.NOOP_SPAN` singleton, so disabled call
   sites allocate nothing.  The phase-1 search loop in
-  :mod:`repro.core.search` guards its per-find hooks with one boolean
-  check each and never touches the per-slot scans, so telemetry is an
-  observer: enabling it does not change which code runs.
+  :mod:`repro.core.search` records one row per find behind one ``None``
+  check and turns the rows into metrics once per batch; it never
+  touches the per-slot scans, so telemetry is an observer: enabling it
+  does not change which code runs.
 * **Stdlib only.**  This module is imported by the core algorithm
   modules, so it must never import back into :mod:`repro.core` or
   :mod:`repro.sim`.
@@ -146,11 +147,6 @@ class Telemetry:
             return NOOP_SPAN
         record = SpanRecord(name=name, started_at=clock.now(), attributes=attributes)
         return SpanHandle(self, record)
-
-    def current_span(self) -> SpanRecord | None:
-        """The innermost open span of this thread, if any."""
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
 
     def _push_span(self, record: SpanRecord) -> None:
         stack = getattr(self._local, "stack", None)
